@@ -38,6 +38,7 @@ from .planes import (
     semisimple_part_matrix,
 )
 from .analysis import (
+    _antidiagonal_realization,
     all_signatures,
     centralizer_map,
     decomposition_signature,
@@ -74,8 +75,6 @@ from .rootsys import (
     verify_malcev_small,
     verify_table1_against_enumeration,
 )
-
-_ZERO = Fraction(0)
 
 
 def _subseed(seed, *labels):
@@ -116,22 +115,6 @@ def _pairs_structure():
 
 # ---------------------------------------------------------------------------
 # samplers shared by several criteria
-
-
-def _square_k_element(pair, factor_matrix):
-    n = factor_matrix.rows
-    rows = []
-    for i in range(2 * n):
-        row = []
-        for j in range(2 * n):
-            if i < n and j < n:
-                row.append(factor_matrix.entries[i][j])
-            elif i >= n and j >= n:
-                row.append(factor_matrix.entries[i - n][j - n])
-            else:
-                row.append(_ZERO)
-        rows.append(row)
-    return pair.g.from_realization(RationalMatrix(rows))
 
 
 def _sample_curve(pair, rng, budget=None) -> GroupCurve | None:
@@ -325,18 +308,7 @@ def criterion_4_jacobian(seed, count=100):
                 [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             )
             mat = mat - RationalMatrix.identity(n) * Fraction(mat.trace(), n)
-            rows = []
-            for i in range(2 * n):
-                row = []
-                for j in range(2 * n):
-                    if i < n and j < n:
-                        row.append(mat.entries[i][j])
-                    elif i >= n and j >= n:
-                        row.append(-mat.entries[i - n][j - n])
-                    else:
-                        row.append(_ZERO)
-                rows.append(row)
-            x = pair.g.from_realization(RationalMatrix(rows))
+            x = pair.g.from_realization(_antidiagonal_realization(pair, mat))
             if x.is_zero() or not is_regular(pair, x):
                 continue
             pv = jacobian_map(pair, x)

@@ -51,19 +51,24 @@ class IncidencePoint:
         self.element = element
 
 
-def is_regular(pair: SymmetricPair, x: Element) -> bool:
-    """Minimal centralizer dimension in p, which is the rank."""
+def _centralizer_in_p(pair: SymmetricPair, x: Element) -> Subspace:
     if not pair.p.contains(x):
         raise DomainError("regularity is defined for elements of p")
-    return pair.c_p(x).dim == pair.rank
+    return pair.c_p(x)
+
+
+def is_regular(pair: SymmetricPair, x: Element) -> bool:
+    """Minimal centralizer dimension in p, which is the rank."""
+    return _centralizer_in_p(pair, x).dim == pair.rank
 
 
 def centralizer_map(pair: SymmetricPair, x: Element) -> Plane:
     """The plane c_p(x) of a regular element; abelian by the structure
     theory, which is re-verified on every call."""
-    if not is_regular(pair, x):
+    centralizer = _centralizer_in_p(pair, x)
+    if centralizer.dim != pair.rank:
         raise DomainError("centralizer map is defined on regular elements only")
-    plane = plane_from_subspace(pair, pair.c_p(x))
+    plane = plane_from_subspace(pair, centralizer)
     if not is_anisotropic_subalgebra(plane):
         raise InternalCheckError("centralizer of a regular element is not abelian")
     if not plane.contains(x):
@@ -112,10 +117,8 @@ def _square_factor_matrix(pair: SymmetricPair, x: Element) -> RationalMatrix:
         raise DomainError("element must lie in p")
     big = pair.g.realize(x)
     n = big.rows // 2
-    left = RationalMatrix([[big.entries[i][j] for j in range(n)] for i in range(n)])
-    right = RationalMatrix(
-        [[big.entries[n + i][n + j] for j in range(n)] for i in range(n)]
-    )
+    left = RationalMatrix._trusted(tuple(row[:n] for row in big.entries[:n]))
+    right = RationalMatrix._trusted(tuple(row[n:] for row in big.entries[n:]))
     if not (left + right).is_zero():
         raise DomainError("element is not anti-diagonal")
     return left
@@ -413,68 +416,36 @@ def make_subvariety(pair: SymmetricPair, anchor: Subspace) -> SubvarietyOfReduct
 # the Jacobian comparison for Cartesian squares
 
 
-class _Dual:
-    """a + b·eps with eps^2 = 0, for exact first derivatives."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=_ZERO):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    def __add__(self, o):
-        o = o if isinstance(o, _Dual) else _Dual(o)
-        return _Dual(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Dual(-self.a, -self.b)
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __rsub__(self, o):
-        return (-self) + o
-
-    def __mul__(self, o):
-        o = o if isinstance(o, _Dual) else _Dual(o)
-        return _Dual(self.a * o.a, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, k):
-        return _Dual(self.a / k, self.b / k)
+def _jacobian_frame(pair: SymmetricPair):
+    """The x-independent half of the Jacobian map, built once per pair:
+    row j of ``directions`` is the left factor d_j of the j-th basis element
+    of p, transposed and flattened, so its dot product with a flattened
+    matrix N is tr(N·d_j); ``solver`` solves against the Killing Gram matrix
+    of that basis."""
+    frame = getattr(pair, "_jacobian_frame", None)
+    if frame is not None:
+        return frame
+    p_els = [pair.from_p_coords(row) for row in RationalMatrix.identity(pair.p.dim).entries]
+    directions = RationalMatrix._trusted(
+        tuple(_square_factor_matrix(pair, e).transpose().vec() for e in p_els)
+    )
+    gram = RationalMatrix._trusted(
+        tuple(tuple(pair.g.killing(a, b) for b in p_els) for a in p_els)
+    )
+    frame = (directions, LinearSolver(gram))
+    pair._jacobian_frame = frame
+    return frame
 
 
-def _char_coefficients_dual(mat_entries, n):
-    """char(λ) = λ^n + c_1 λ^{n-1} + ... + c_n over dual numbers, by the
-    trace recursion M_k = A(M_{k-1} + c_{k-1}I), c_k = -tr(M_k)/k."""
-    m = mat_entries
-    acc = [[_Dual(1) if i == j else _Dual(0) for j in range(n)] for i in range(n)]
-    coeffs = []
-    for k in range(1, n + 1):
-        acc = _dual_matmul(m, acc, n)
-        tr = acc[0][0]
-        for i in range(1, n):
-            tr = tr + acc[i][i]
-        c = (-tr) / k
-        coeffs.append(c)
-        for i in range(n):
-            acc[i][i] = acc[i][i] + c
-    return coeffs
-
-
-def _dual_matmul(a, b, n):
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            s = _Dual(0)
-            for k in range(n):
-                s = s + a[i][k] * b[k][j]
-            row.append(s)
-        out.append(row)
+def _adjugate_coefficients(y: RationalMatrix) -> list[RationalMatrix]:
+    """N_0..N_{n-1} with adj(λI - y) = Σ λ^{n-1-k} N_k, by the
+    Faddeev-LeVerrier recursion N_0 = I, N_k = y·N_{k-1} + c_k·I, where
+    c_k = -tr(y·N_{k-1})/k is the coefficient of λ^{n-k} in det(λI - y)."""
+    eye = RationalMatrix.identity(y.rows)
+    out = [eye]
+    for k in range(1, y.rows):
+        prod = y * out[-1]
+        out.append(prod + eye * (-prod.trace() / k))
     return out
 
 
@@ -482,48 +453,35 @@ def jacobian_map(pair: SymmetricPair, x: Element) -> PluckerVector:
     """Wedge of the gradients of the invariant coefficients at x, with p
     identified with its dual by the Killing form.
 
+    The invariants are the coefficients c_2..c_n of the characteristic
+    polynomial det(λI - y) = Σ c_k λ^{n-k} of the left factor y of
+    x = (y, -y).  By Jacobi's formula the derivative of c_k along d is
+    -tr(N_{k-1}·d), where adj(λI - y) = Σ λ^{n-1-k} N_k, so one
+    Faddeev-LeVerrier pass over y gives every gradient at once.
+
     For regular x this is exactly proportional to the Plücker vector of the
     centralizer plane; for irregular x the wedge vanishes and a DomainError
     reports it.
     """
-    n = _require_sl_square(pair)
+    _require_sl_square(pair)
     y = _square_factor_matrix(pair, x)
+    directions, solver = _jacobian_frame(pair)
     p_dim = pair.p.dim
     r = pair.rank
-    # gradient rows: directional derivatives along the p basis
-    directions = [
-        _square_factor_matrix(pair, pair.from_p_coords(row))
-        for row in RationalMatrix.identity(p_dim).entries
-    ]
-    grads = []
-    for k in range(2, n + 1):
-        row = []
-        for d in directions:
-            dual = [
-                [_Dual(y.entries[i][j], d.entries[i][j]) for j in range(n)]
-                for i in range(n)
-            ]
-            coeffs = _char_coefficients_dual(dual, n)
-            row.append(coeffs[k - 1].b)
-        grads.append(row)
-    # identify functionals with vectors through the Killing Gram matrix on p
-    p_els = [pair.from_p_coords(row) for row in RationalMatrix.identity(p_dim).entries]
-    gram = RationalMatrix(
-        [[pair.g.killing(a, b) for b in p_els] for a in p_els]
-    )
-    solver = LinearSolver(gram)
     vectors = []
-    for row in grads:
-        v = solver.solve(row)
+    for adj in _adjugate_coefficients(y)[1:]:
+        # the gradient of the next coefficient, then the vector dual to it
+        grad = [-a for a in directions.apply(adj.vec())]
+        v = solver.solve(grad)
         if v is None:
             raise InternalCheckError("Killing form is degenerate on p")
-        vectors.append(list(v))
-    mat = RationalMatrix(vectors)
+        vectors.append(v)
+    mat = RationalMatrix._trusted(tuple(vectors))
     if rank(mat) < r:
         raise DomainError("Jacobian wedge vanishes: the element is irregular")
     minors = {}
     for combo in itertools.combinations(range(p_dim), r):
-        sub = RationalMatrix([[mat.entries[i][j] for j in combo] for i in range(r)])
+        sub = RationalMatrix._trusted(tuple(tuple(row[j] for j in combo) for row in vectors))
         minors[combo] = sub.det()
     return PluckerVector(p_dim, r, minors)
 

@@ -17,6 +17,7 @@ squares.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -214,7 +215,7 @@ def _poly_exp(powers, exponent, budget, sign):
     for k, mat in enumerate(powers):
         if mat.is_zero():
             break
-        coef = Fraction(sign**k, _fact(k))
+        coef = Fraction(sign**k, math.factorial(k))
         for i in range(n):
             for j in range(n):
                 if mat.entries[i][j] != 0:
@@ -224,13 +225,6 @@ def _poly_exp(powers, exponent, budget, sign):
     return SeriesMatrix(
         [[_series_from_dict(d, budget) for d in row] for row in entries]
     )
-
-
-def _fact(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def _series_from_dict(d, budget):
@@ -462,9 +456,6 @@ class MagnitudeFlag:
     @property
     def size(self):
         return len(self.jumps)
-
-    def level_dim(self, idx):
-        return self.levels[idx].rows
 
     def pivot_valuations(self):
         """Magnitude orders with multiplicity, ascending."""

@@ -63,10 +63,6 @@ class Polynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @staticmethod
-    def x_power(k, coeff=1):
-        return Polynomial([0] * k + [coeff])
-
     @property
     def degree(self):
         """Degree, or -1 for the zero polynomial."""
@@ -293,10 +289,6 @@ class RationalMatrix:
     @staticmethod
     def zero(r, c):
         return RationalMatrix._trusted(((_ZERO,) * c,) * r)
-
-    @staticmethod
-    def from_rows(rows):
-        return RationalMatrix(rows)
 
     def row(self, i):
         return self.entries[i]
@@ -539,8 +531,11 @@ def in_row_space(matrix: RationalMatrix, vector) -> bool:
 
 def coordinates_in_row_space(matrix, vector):
     """Coefficients expressing vector over the rows of matrix, or None."""
-    sol = solve(matrix.transpose(), vector)
-    return sol
+    if matrix.rows == 0:
+        # a matrix with no rows keeps no width, so its transpose would pose
+        # no equations; its row space is {0}
+        return None if any(vector) else ()
+    return solve(matrix.transpose(), vector)
 
 
 def intersect_row_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -845,23 +840,6 @@ class LaurentSeries:
 
     def __hash__(self):
         return hash((self.val if self.coeffs else 0, self.coeffs, self.prec))
-
-    def agrees(self, other, floor=1) -> bool:
-        """Equality of the two series on their common known range.
-
-        The common range must extend at least to exponent ``floor`` or the
-        comparison is meaningless and raises PrecisionError.
-        """
-        precs = [p for p in (self.prec, other.prec) if p is not None]
-        if not precs:
-            return self.val == other.val and self.coeffs == other.coeffs \
-                if self.coeffs and other.coeffs else self.coeffs == other.coeffs
-        bound = min(precs)
-        vals = [s.val for s in (self, other) if not s.is_zero()]
-        if vals and bound <= max(v + 1 for v in vals) and bound < floor:
-            raise PrecisionError("known ranges too short to compare", needed=bound)
-        lo = min(vals) if vals else 0
-        return all(self.coeff_at(k) == other.coeff_at(k) for k in range(lo, bound))
 
     def __repr__(self):
         if self.is_zero():

@@ -9,6 +9,7 @@ geometry downstream.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -97,9 +98,6 @@ class SymmetricPair:
                     if e:
                         vec[i] += c * e
         return Element(self.g, vec)
-
-    def theta_apply(self, x: Element) -> Element:
-        return Element(self.g, self.theta.apply(x.coords))
 
     def c_p(self, x: Element) -> Subspace:
         return centralizer_in(x, self.p)
@@ -509,15 +507,8 @@ def exp_ad_automorphism(pair: SymmetricPair, y: Element) -> RationalMatrix:
             break
         if k > n:
             raise DomainError("generator does not act nilpotently")
-        acc = acc + term * Fraction(1, _factorial(k))
+        acc = acc + term * Fraction(1, math.factorial(k))
     return acc
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def conjugation_automorphism(pair: SymmetricPair, q: RationalMatrix, q_inv: RationalMatrix) -> RationalMatrix:

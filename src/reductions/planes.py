@@ -163,10 +163,6 @@ def semisimple_part_matrix(u: Plane) -> RationalMatrix:
     return RationalMatrix(rows)
 
 
-def contains_nonzero_nilpotent(u: Plane) -> bool:
-    return _kernel_dim(semisimple_part_matrix(u)) > 0
-
-
 def _kernel_dim(mat: RationalMatrix) -> int:
     from .exact import rank
 

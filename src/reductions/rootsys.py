@@ -541,8 +541,3 @@ def infinite_orbit_types(scan_rank=12):
             extras.append((type_, r))
     return {"claimed": claimed, "inequality_only": extras}
 
-
-def anticanonical_degree_from_multiplicities(mults):
-    """Per positive root: the pinched family through its kernel has the
-    root multiplicity as its dimension, and degree one more."""
-    return [(m, m + 1) for m in mults]

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reductions.errors import DomainError
 from reductions.exact import RationalMatrix, rat
@@ -10,6 +13,7 @@ from reductions.planes import cartan_plane, is_anisotropic_subalgebra, plane_fro
 from reductions.analysis import (
     DecompositionSignature,
     IncidencePoint,
+    _adjugate_coefficients,
     all_signatures,
     centralizer_map,
     coarse_invariants,
@@ -23,6 +27,11 @@ from reductions.analysis import (
     signature_is_degeneration,
     signature_representative,
 )
+
+try:
+    import sympy
+except ImportError:  # the oracle test needs it; the rest of the file does not
+    sympy = None
 
 
 def square_element(pair, mat):
@@ -85,6 +94,14 @@ def test_centralizer_map_rejects_irregular():
     pair = square_of("sl3")
     with pytest.raises(DomainError):
         centralizer_map(pair, square_element(pair, D(1, 1, -2)))
+
+
+def test_centralizer_map_rejects_outside_p():
+    pair = square_of("sl3")
+    x = pair.k.basis_elements()[0]
+    assert not pair.p.contains(x)
+    with pytest.raises(DomainError):
+        centralizer_map(pair, x)
 
 
 def test_centralizer_map_k_equivariant():
@@ -309,10 +326,110 @@ def test_jacobian_sl3_random_regular():
         found += 1
 
 
+def test_jacobian_sl4_regular():
+    pair = square_of("sl4")
+    mat = RationalMatrix([[1, 2, 0, -1], [0, -1, 1, 3], [2, 0, 1, 1], [1, 1, 0, -1]])
+    x = square_element(pair, mat)
+    assert is_regular(pair, x)
+    pv = jacobian_map(pair, x)
+    assert pv.r == 3 and pv.proportional_to(centralizer_map(pair, x).plucker())
+
+
 def test_jacobian_irregular_vanishes():
     pair = square_of("sl3")
     with pytest.raises(DomainError):
         jacobian_map(pair, square_element(pair, D(1, 1, -2)))
+
+
+# -- the gradient route: Jacobi's formula on the adjugate coefficients
+#
+# The derivative of c_k, the coefficient of λ^{n-k} in det(λI - y), along d
+# is -tr(N_{k-1}·d) with adj(λI - y) = Σ λ^{n-1-k} N_k.  Two independent
+# references give the same derivative: sympy's characteristic polynomial of
+# y + εd, and the dual-number trace recursion the Jacobian map once ran per
+# direction.
+
+
+class _Dual:
+    """a + b·eps with eps^2 = 0."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b=0):
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+
+    def __add__(self, o):
+        return _Dual(self.a + o.a, self.b + o.b)
+
+    def __mul__(self, o):
+        return _Dual(self.a * o.a, self.a * o.b + self.b * o.a)
+
+
+def _dual_char_derivatives(y, d):
+    """[c_1', ..., c_n'] along d, by the trace recursion
+    M_k = (y + εd)(M_{k-1} + c_{k-1}I), c_k = -tr(M_k)/k over dual numbers."""
+    n = y.rows
+    m = [[_Dual(y.entries[i][j], d.entries[i][j]) for j in range(n)] for i in range(n)]
+    acc = [[_Dual(int(i == j)) for j in range(n)] for i in range(n)]
+    out = []
+    for k in range(1, n + 1):
+        acc = [
+            [sum((m[i][t] * acc[t][j] for t in range(n)), _Dual(0)) for j in range(n)]
+            for i in range(n)
+        ]
+        tr = sum((acc[i][i] for i in range(n)), _Dual(0))
+        c = _Dual(-tr.a / k, -tr.b / k)
+        out.append(c.b)
+        for i in range(n):
+            acc[i][i] = acc[i][i] + c
+    return out
+
+
+def _adjugate_derivatives(y, d):
+    """[c_1', ..., c_n'] along d from -tr(N_{k-1}·d)."""
+    return [-(adj * d).trace() for adj in _adjugate_coefficients(y)]
+
+
+@st.composite
+def matrix_and_direction(draw):
+    """(y, d), integer n x n with n = 2..4; y is drawn as it comes, singular
+    (last row a combination of the others) or nilpotent (strictly upper
+    triangular)."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    entry = st.integers(min_value=-3, max_value=3)
+    y = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["any", "singular", "nilpotent"]))
+    if shape == "singular":
+        coefs = [draw(entry) for _ in range(n - 1)]
+        y[-1] = [sum(c * row[j] for c, row in zip(coefs, y)) for j in range(n)]
+    elif shape == "nilpotent":
+        y = [[a if j > i else 0 for j, a in enumerate(row)] for i, row in enumerate(y)]
+    d = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    return RationalMatrix(y), RationalMatrix(d)
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=60, deadline=None)
+@given(matrix_and_direction())
+def test_adjugate_gradient_matches_sympy_charpoly(yd):
+    y, d = yd
+    n = y.rows
+    lam, eps = sympy.symbols("lam eps")
+    moved = sympy.Matrix(n, n, [int(a) + eps * int(b) for a, b in zip(y.vec(), d.vec())])
+    coeffs = moved.charpoly(lam).all_coeffs()
+    expected = [
+        Fraction(int(sympy.Poly(c, eps).coeff_monomial(eps)))
+        for c in coeffs[1:]
+    ]
+    assert _adjugate_derivatives(y, d) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_and_direction())
+def test_adjugate_gradient_matches_dual_recursion(yd):
+    y, d = yd
+    assert _adjugate_derivatives(y, d) == _dual_char_derivatives(y, d)
 
 
 # -- the non-algebraic witness

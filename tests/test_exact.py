@@ -13,6 +13,7 @@ from reductions.exact import (
     Polynomial,
     RationalMatrix,
     SeriesMatrix,
+    coordinates_in_row_space,
     integer_roots,
     is_squarefree,
     min_poly,
@@ -138,6 +139,14 @@ def test_rref_and_nullspace():
     assert ker.rows == 1
     for row in ker.entries:
         assert all(v == 0 for v in m.apply(row))
+
+
+def test_row_space_of_no_rows_is_zero():
+    # a matrix with no rows keeps no width, so it must not pose zero
+    # equations and accept every vector
+    empty = RationalMatrix.zero(0, 3)
+    assert coordinates_in_row_space(empty, (rat(0), rat(0), rat(0))) == ()
+    assert coordinates_in_row_space(empty, (rat(0), rat(1), rat(0))) is None
 
 
 def test_solve():

@@ -237,6 +237,17 @@ def test_centralizer_of_zero():
     assert centralizer_in(g.zero(), v).dim == 3
 
 
+def test_zero_subspace_contains_only_zero():
+    g = sl(2)
+    zero = g.subspace([])
+    assert zero.dim == 0
+    assert not zero.contains(g.basis_element(0))
+    assert zero.contains(g.zero())
+    assert zero.coordinates_of(g.zero()) == ()
+    assert g.full_subspace().contains_subspace(zero)
+    assert not zero.contains_subspace(g.full_subspace())
+
+
 def test_centralizer_of_e_in_sl2():
     g, e, f, h = _sl2_efh()
     c = centralizer_in(e, g.full_subspace())
