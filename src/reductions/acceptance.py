@@ -39,10 +39,9 @@ from .planes import (
 )
 from .analysis import (
     _antidiagonal_realization,
+    _regular_centralizer,
     all_signatures,
-    centralizer_map,
     decomposition_signature,
-    is_regular,
     jacobian_map,
     make_subvariety,
     nonalgebraic_witness,
@@ -309,10 +308,11 @@ def criterion_4_jacobian(seed, count=100):
             )
             mat = mat - RationalMatrix.identity(n) * Fraction(mat.trace(), n)
             x = pair.g.from_realization(_antidiagonal_realization(pair, mat))
-            if x.is_zero() or not is_regular(pair, x):
+            centralizer = None if x.is_zero() else _regular_centralizer(pair, x)
+            if centralizer is None:
                 continue
             pv = jacobian_map(pair, x)
-            if not pv.proportional_to(centralizer_map(pair, x).plucker()):
+            if not pv.proportional_to(centralizer.plucker()):
                 bad += 1
             done += 1
         out.append(
@@ -503,9 +503,7 @@ def criterion_7_subvarieties(seed, samples=12):
 
 
 def _curve_fixes_element(curve, el):
-    from .degeneration import _apply_series_matrix
-
-    moved = _apply_series_matrix(curve.matrices()[0], el.coords)
+    moved = curve.matrices()[0].apply(el.coords)
     for series, c in zip(moved, el.coords):
         if not (series - c).is_zero():
             return False

@@ -65,9 +65,18 @@ def is_regular(pair: SymmetricPair, x: Element) -> bool:
 def centralizer_map(pair: SymmetricPair, x: Element) -> Plane:
     """The plane c_p(x) of a regular element; abelian by the structure
     theory, which is re-verified on every call."""
+    plane = _regular_centralizer(pair, x)
+    if plane is None:
+        raise DomainError("centralizer map is defined on regular elements only")
+    return plane
+
+
+def _regular_centralizer(pair: SymmetricPair, x: Element) -> Plane | None:
+    """``centralizer_map(pair, x)`` when x is regular and None otherwise,
+    from one computation of c_p(x)."""
     centralizer = _centralizer_in_p(pair, x)
     if centralizer.dim != pair.rank:
-        raise DomainError("centralizer map is defined on regular elements only")
+        return None
     plane = plane_from_subspace(pair, centralizer)
     if not is_anisotropic_subalgebra(plane):
         raise InternalCheckError("centralizer of a regular element is not abelian")

@@ -34,6 +34,8 @@ from .exact import (
     LaurentSeries,
     RationalMatrix,
     SeriesMatrix,
+    _prepared,
+    _sum_of_scaled,
     min_valuation,
     nullspace,
     rat,
@@ -208,23 +210,24 @@ def _exp_move(pair, y: Element, exponent: int, budget):
 
 
 def _poly_exp(powers, exponent, budget, sign):
+    """Σ_k (sign·t^exponent)^k / k! · powers[k], with exact series entries."""
     n = powers[0].rows
-    entries = [
-        [dict() for _ in range(n)] for _ in range(n)
-    ]
+    span = (len(powers) - 1) * exponent
+    lo = min(0, span)
+    cells = {}
     for k, mat in enumerate(powers):
-        if mat.is_zero():
-            break
         coef = Fraction(sign**k, math.factorial(k))
-        for i in range(n):
-            for j in range(n):
-                if mat.entries[i][j] != 0:
-                    entries[i][j][k * exponent] = (
-                        entries[i][j].get(k * exponent, _ZERO) + coef * mat.entries[i][j]
-                    )
-    return SeriesMatrix(
-        [[_series_from_dict(d, budget) for d in row] for row in entries]
-    )
+        for i, row in enumerate(mat.entries):
+            for j, a in enumerate(row):
+                if a:
+                    cs = cells.setdefault((i, j), [_ZERO] * (abs(span) + 1))
+                    cs[k * exponent - lo] += coef * a
+    zero = LaurentSeries.zero(budget)
+    return SeriesMatrix._trusted(tuple(
+        tuple([LaurentSeries._trusted(lo, cells[i, j], None, budget) if (i, j) in cells else zero
+               for j in range(n)])
+        for i in range(n)
+    ))
 
 
 def _series_from_dict(d, budget):
@@ -283,63 +286,26 @@ def _torus_move(pair, weights, budget):
 
 
 def _conjugation_on_coords(pair, q: SeriesMatrix, q_inv: SeriesMatrix) -> SeriesMatrix:
-    """Adjoint action of a realization-level series matrix, in g coordinates."""
+    """Adjoint action of a realization-level series matrix, in g coordinates:
+    column i holds the coordinates of (q·ρᵢ)·q⁻¹."""
     g = pair.g
     if g._realization_solver is None:
         g.from_realization(g.realization[0])  # prime the solver
     solver = g._realization_solver
+    transform = [[(k, c) for k, c in enumerate(row) if c] for row in solver.transform.entries]
     cols = []
-    for i in range(g.dim):
-        rho = SeriesMatrix.from_rational(g.realization[i], q.entries[0][0].budget)
-        img = q * rho * q_inv
-        vec = [e for row in img.entries for e in row]
-        cols.append(_series_solve(solver, vec))
-    return SeriesMatrix(list(zip(*cols)))
-
-
-def _series_solve(solver, rhs):
-    y = []
-    for row in solver.transform.entries:
-        acc = LaurentSeries.zero(rhs[0].budget if rhs else DEFAULT_BUDGET)
-        for c, b in zip(row, rhs):
-            if c != 0:
-                acc = acc + b * c
-        y.append(acc)
-    for r in range(solver.rank, len(y)):
-        if not y[r].is_zero():
+    for rho in g.realization:
+        img = q.mul_rational(rho) * q_inv
+        rhs = [_prepared(e) for row in img.entries for e in row]
+        budget = rhs[0][0].budget
+        y = [_sum_of_scaled([(rhs[k], c) for k, c in row], budget) for row in transform]
+        if not all(s.is_zero() for s in y[solver.rank :]):
             raise InternalCheckError("conjugated matrix left the realized algebra")
-    x = [LaurentSeries.zero(rhs[0].budget) for _ in range(solver.matrix.cols)]
-    for r, p in enumerate(solver.pivots):
-        x[p] = y[r]
-    return x
-
-
-def _rational_to_series_product(matq: RationalMatrix, mats: SeriesMatrix) -> SeriesMatrix:
-    rows = []
-    for row in matq.entries:
-        out_row = []
-        for j in range(mats.cols):
-            acc = LaurentSeries.zero()
-            for c, e in zip(row, mats.column(j)):
-                if c != 0:
-                    acc = acc + e * c
-            out_row.append(acc)
-        rows.append(out_row)
-    return SeriesMatrix(rows)
-
-
-def _series_times_rational(mats: SeriesMatrix, matq: RationalMatrix) -> SeriesMatrix:
-    cols = []
-    for j in range(matq.cols):
-        col = []
-        for i in range(mats.rows):
-            acc = LaurentSeries.zero()
-            for e, c in zip(mats.entries[i], matq.column(j)):
-                if c != 0:
-                    acc = acc + e * c
-            col.append(acc)
-        cols.append(col)
-    return SeriesMatrix(list(zip(*cols)))
+        x = [LaurentSeries.zero(budget) for _ in range(solver.matrix.cols)]
+        for r, p in enumerate(solver.pivots):
+            x[p] = y[r]
+        cols.append(x)
+    return SeriesMatrix._trusted(tuple(zip(*cols)))
 
 
 def _validate_curve(pair, fwd: SeriesMatrix, bwd: SeriesMatrix):
@@ -352,8 +318,8 @@ def _validate_curve(pair, fwd: SeriesMatrix, bwd: SeriesMatrix):
             expected = _ONE if i == j else _ZERO
             if e.coeff_at(0) != expected or not (e - expected).is_zero():
                 raise InternalCheckError("curve and its companion are not inverse")
-    lhs = _rational_to_series_product(pair.theta, fwd)
-    rhs = _series_times_rational(fwd, pair.theta)
+    lhs = fwd.rmul_rational(pair.theta)
+    rhs = fwd.mul_rational(pair.theta)
     for i in range(n):
         for j in range(n):
             if not (lhs.entries[i][j] - rhs.entries[i][j]).is_zero():
@@ -365,57 +331,39 @@ def _validate_curve(pair, fwd: SeriesMatrix, bwd: SeriesMatrix):
     cols = [fwd.column(j) for j in range(n)]
     for i, j in pairs_to_check:
         target = g.bracket(g.basis_element(i), g.basis_element(j))
-        lhs_vec = _apply_series_matrix(fwd, target.coords)
+        lhs_vec = fwd.apply(target.coords)
         rhs_vec = _series_bracket(g, cols[i], cols[j])
         for a, b in zip(lhs_vec, rhs_vec):
             if not (a - b).is_zero():
                 raise InternalCheckError("curve does not preserve the bracket")
 
 
-def _apply_series_matrix(m: SeriesMatrix, coords) -> list:
-    out = []
-    for row in m.entries:
-        acc = LaurentSeries.zero()
-        for e, c in zip(row, coords):
-            if c != 0:
-                acc = acc + e * c
-        out.append(acc)
-    return out
-
-
 def _series_bracket(g, xs, ys):
-    acc = [LaurentSeries.zero() for _ in range(g.dim)]
+    terms = [[] for _ in range(g.dim)]
     for i, xi in enumerate(xs):
         if xi.is_zero() and xi.is_exact():
             continue
         for j, yj in enumerate(ys):
             if i == j or (yj.is_zero() and yj.is_exact()):
                 continue
-            prod = xi * yj
+            prod = _prepared(xi * yj)
             for k, c in g._basis_bracket(i, j).items():
-                acc[k] = acc[k] + prod * c
-    return acc
+                terms[k].append((prod, c))
+    return [_sum_of_scaled(t, DEFAULT_BUDGET) for t in terms]
 
 
 def _restrict_to_p(pair, fwd: SeriesMatrix) -> SeriesMatrix:
     """The curve action in p coordinates (the curve preserves p)."""
     p_rows = pair.p.basis
-    cols = []
-    pivots = rref(p_rows)[1]
-    for row in p_rows.entries:
-        img = _apply_series_matrix(fwd, row)
-        coords = [img[c] for c in pivots]
-        # consistency: img must be the combination of p rows given by coords
-        recon = [LaurentSeries.zero() for _ in range(pair.g.dim)]
-        for c, prow in zip(coords, p_rows.entries):
-            for idx, e in enumerate(prow):
-                if e != 0:
-                    recon[idx] = recon[idx] + c * e
-        for a, b in zip(img, recon):
-            if not (a - b).is_zero():
-                raise InternalCheckError("curve does not preserve p")
-        cols.append(coords)
-    return SeriesMatrix(list(zip(*cols)))
+    p_cols = p_rows.transpose()
+    images = fwd.mul_rational(p_cols)  # column j: the image of p row j
+    coords = SeriesMatrix._trusted(tuple(images.entries[c] for c in rref(p_rows)[1]))
+    # consistency: each image must be the combination of p rows given by its coords
+    recon = coords.rmul_rational(p_cols)
+    for img_row, recon_row in zip(images.entries, recon.entries):
+        if not all((a - b).is_zero() for a, b in zip(img_row, recon_row)):
+            raise InternalCheckError("curve does not preserve p")
+    return coords
 
 
 # -- constructors mirroring the move families
@@ -474,20 +422,19 @@ def _acting_matrix(curve, budget=None) -> SeriesMatrix:
 
 
 def magnitude_order(curve: VectorCurve, x, budget=None) -> int:
-    """min coordinate valuation of the moving vector; x != 0 required."""
+    """min coordinate valuation of the moving vector; x != 0 required.  An
+    Element moves in g coordinates, a plain vector in those planes move in."""
     coords = x.coords if isinstance(x, Element) else tuple(x)
     if all(c == 0 for c in coords):
         raise DomainError("the zero vector has no magnitude order")
     if isinstance(x, Element):
-        return min_valuation(_apply_series_matrix(curve.matrices(budget)[0], coords))
-    return min_valuation(_apply_series_matrix(curve.matrix(budget), coords))
+        return min_valuation(curve.matrices(budget)[0].apply(coords))
+    return min_valuation(_acting_matrix(curve, budget).apply(coords))
 
 
 def _moving_matrix(curve, basis_rows: RationalMatrix, budget=None) -> SeriesMatrix:
     """Columns are the curve images of the basis rows."""
-    cmat = _acting_matrix(curve, budget)
-    cols = [_apply_series_matrix(cmat, row) for row in basis_rows.entries]
-    return SeriesMatrix(list(zip(*cols)))
+    return _acting_matrix(curve, budget).mul_rational(basis_rows.transpose())
 
 
 def _flag_from_moving(moving: SeriesMatrix, r) -> MagnitudeFlag:
@@ -668,16 +615,7 @@ def limit_plane(curve, plane, budget=None):
     ceiling still cannot decide a valuation, and InternalCheckError when the
     two routes disagree (they never may).
     """
-    b = budget or (curve.budget if isinstance(curve, VectorCurve) else DEFAULT_BUDGET)
-    while True:
-        try:
-            return _limit_once(curve, plane, b).plane
-        except PrecisionError:
-            b *= 2
-            if b > MAX_BUDGET:
-                raise BudgetExceededError(
-                    f"series budget ceiling {MAX_BUDGET} reached while computing a limit"
-                )
+    return limit_computation(curve, plane, budget).plane
 
 
 def limit_computation(curve, plane, budget=None) -> LimitComputation:
@@ -698,11 +636,8 @@ def _limit_once(curve, plane, budget) -> LimitComputation:
     r = basis.rows
     moving = _moving_matrix(curve, basis, budget)
     adapted = magnitude_basis(curve, plane, budget=budget)
-    moved_cols = []
-    for combo, _ in adapted:
-        vec = _combo_to_vector(combo, basis)
-        moved_cols.append(_apply_series_matrix(_acting_matrix(curve, budget), vec))
-    moved = SeriesMatrix(list(zip(*moved_cols)))
+    vectors = RationalMatrix._trusted(tuple(_combo_to_vector(c, basis) for c, _ in adapted))
+    moved = _moving_matrix(curve, vectors, budget)
 
     # wedge additivity on every initial segment of the adapted basis; a
     # failure here is not a bug but an obstruction instance: no basis of the
@@ -804,11 +739,8 @@ def non_adapted_additivity_fails(curve, plane, budget=None) -> bool:
     j = omegas.index(max(omegas))
     combos = [list(c) for c, _ in adapted]
     combos[j] = [a + b2 for a, b2 in zip(combos[j], combos[i])]
-    cmat = _acting_matrix(curve, b)
-    moved_cols = [
-        _apply_series_matrix(cmat, _combo_to_vector(c, basis)) for c in combos
-    ]
-    moved = SeriesMatrix(list(zip(*moved_cols)))
+    vectors = RationalMatrix._trusted(tuple(_combo_to_vector(c, basis) for c in combos))
+    moved = _moving_matrix(curve, vectors, b)
     spoiled = [min_valuation(col) for col in (moved.column(c) for c in range(len(combos)))]
     for k in range(1, len(combos) + 1):
         vals = []
@@ -905,7 +837,7 @@ def _rigidity_once(curve, plane, s_span, n_span, b) -> "RigidityReport":
         for combo, om in adapted:
             vec = _combo_to_vector(combo, basis)
             source = pair.from_p_coords(vec)
-            moved = _apply_series_matrix(cmat, vec)
+            moved = cmat.apply(vec)
             target = pair.from_p_coords([s.coeff_at(om) for s in moved])
             source_kind = classify_element(source)
             target_kind = classify_element(target)
@@ -929,7 +861,7 @@ def _rigidity_once(curve, plane, s_span, n_span, b) -> "RigidityReport":
                 "semisimple span of the limit is not spanned by the zero-order targets"
             )
         for source, target in semisimple_targets:
-            moved = _apply_series_matrix(cmat, pair.to_p_coords(source))
+            moved = cmat.apply(pair.to_p_coords(source))
             value = pair.from_p_coords([s.at_zero() for s in moved])
             if value != target:
                 raise InternalCheckError("curve translate does not converge to its target")
@@ -1114,7 +1046,7 @@ def tempered_element_limit(curve: GroupCurve, x: Element, budget=None):
     pair = curve.pair
     while True:
         try:
-            moved = _apply_series_matrix(curve.p_matrix(b), pair.to_p_coords(x))
+            moved = curve.p_matrix(b).apply(pair.to_p_coords(x))
             om = min_valuation(moved)
             return pair.from_p_coords([s.coeff_at(om) for s in moved]), om
         except PrecisionError:

@@ -24,9 +24,18 @@ check shapes.  The ``_trusted`` constructors (``RationalMatrix._trusted``,
 ``Element._trusted``) take values that are already ``Fraction`` and skip the
 coercion and the ragged-shape check; the package's own operations return
 through them.  ``LaurentSeries._trusted`` still trims and shifts exactly as
-the public constructor does.  Elimination (``rref``, ``rank``, ``det``) and
-series products work over integers on a common denominator inside one call
-and hand back ``Fraction`` values.
+the public constructor does.  Elimination (``rref``, ``rank``, ``det``) works
+over integer rows inside one call and hands back ``Fraction`` values.
+
+Every linear combination of series (sums, products, matrix products,
+mat-vecs, minors, elimination updates) runs through one kernel:
+``_sum_of_products`` (Σ a·b) and ``_sum_of_scaled`` (Σ s·c, c rational) take
+each series prepared once per call as an integer row and accumulate over one
+common denominator.  Each result equals in val, coeffs, prec and budget the
+fold ``acc = acc + a * b`` from ``LaurentSeries.zero(budget)`` it replaces;
+tests keep the folds as the reference.  The products with a rational matrix
+or vector (``SeriesMatrix.mul_rational``, ``rmul_rational`` and ``apply``,
+the one series mat-vec) skip its zero entries.
 """
 
 from __future__ import annotations
@@ -401,10 +410,11 @@ def _dot(u, v):
 
 def _integer_row(row):
     """(d, ints) with ints = d * row, d the least common denominator."""
-    den = lcm(*[a.denominator for a in row])
+    dens = [a.denominator for a in row]
+    den = lcm(*dens)
     if den == 1:
         return 1, [a.numerator for a in row]
-    return den, [a.numerator * (den // a.denominator) for a in row]
+    return den, [a.numerator * (den // d) for a, d in zip(row, dens)]
 
 
 def _reduced_rows(matrix: RationalMatrix):
@@ -718,28 +728,10 @@ class LaurentSeries:
 
     # -- arithmetic
 
-    def _meet_prec(self, other):
-        ps = [p for p in (self.prec, other.prec) if p is not None]
-        return min(ps) if ps else None
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LaurentSeries.constant(other, self.budget)
-        budget = min(self.budget, other.budget)
-        prec = self._meet_prec(other)
-        terms = [s for s in (self, other) if s.coeffs]
-        if not terms:
-            return LaurentSeries._trusted(0, (), prec, budget)
-        lo = min(s.val for s in terms)
-        hi = max(s.val + len(s.coeffs) for s in terms)
-        if prec is not None:
-            hi = min(hi, prec)
-        out = [_ZERO] * max(hi - lo, 0)
-        for s in terms:
-            off = s.val - lo
-            for i, c in enumerate(s.coeffs[: max(hi - s.val, 0)]):
-                out[off + i] += c
-        return LaurentSeries._trusted(lo, out, prec, budget)
+        return _sum_of_scaled(((_prepared(self), _ONE), (_prepared(other), _ONE)), self.budget)
 
     __radd__ = __add__
 
@@ -756,7 +748,9 @@ class LaurentSeries:
             return LaurentSeries._trusted(
                 self.val, [c * other for c in self.coeffs], self.prec, self.budget
             )
-        return _sum_of_products(((self, other),), min(self.budget, other.budget))
+        return _sum_of_products(
+            ((_prepared(self), _prepared(other)),), min(self.budget, other.budget)
+        )
 
     __rmul__ = __mul__
 
@@ -808,7 +802,6 @@ class LaurentSeries:
             raise DomainError("reparametrization must be by a unit series")
         if self.is_zero():
             return self
-        result = LaurentSeries.zero(self.budget)
         pow_cache = {0: LaurentSeries.constant(1, self.budget)}
 
         def upower(k):
@@ -819,10 +812,10 @@ class LaurentSeries:
                     pow_cache[k] = upower(k + 1) * unit.inverse()
             return pow_cache[k]
 
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                k = self.val + i
-                result = result + upower(k).shift(k) * c
+        result = _sum_of_scaled(
+            [(_prepared(upower(k).shift(k)), c) for k, c in enumerate(self.coeffs, self.val) if c],
+            self.budget,
+        )
         if self.prec is not None:
             result = result.truncate(self.prec)
         return result
@@ -918,21 +911,40 @@ class SeriesMatrix:
         zero = LaurentSeries.zero(budget)
         return SeriesMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def from_rational(m: RationalMatrix, budget=DEFAULT_BUDGET):
-        return SeriesMatrix(
-            [[LaurentSeries.constant(c, budget) for c in row] for row in m.entries]
-        )
-
     def __mul__(self, other):
-        if isinstance(other, SeriesMatrix):
-            if self.cols != other.rows:
-                raise DomainError("shape mismatch")
-            cols = list(zip(*other.entries))
-            return SeriesMatrix._trusted(
-                tuple(tuple([_sdot(row, col) for col in cols]) for row in self.entries)
-            )
-        return SeriesMatrix._trusted(tuple(tuple([e * other for e in row]) for row in self.entries))
+        if not isinstance(other, SeriesMatrix):
+            return SeriesMatrix._trusted(tuple(tuple([e * other for e in r]) for r in self.entries))
+        if self.cols != other.rows:
+            raise DomainError("shape mismatch")
+        # each entry is prepared once; exact zeros drop out of the dot products
+        left = [[(k, _prepared(a)) for k, a in enumerate(row) if a.coeffs or a.prec is not None]
+                for row in self.entries]
+        right = [[_prepared(b) if b.coeffs or b.prec is not None else None for b in row]
+                 for row in other.entries]
+        return SeriesMatrix._trusted(tuple(
+            tuple([
+                _sum_of_products([(a, right[k][j]) for k, a in row if right[k][j]], DEFAULT_BUDGET)
+                for j in range(other.cols)
+            ])
+            for row in left
+        ))
+
+    def mul_rational(self, m: RationalMatrix) -> "SeriesMatrix":
+        """self · m for a rational m; zero entries of m are skipped."""
+        if self.cols != m.rows:
+            raise DomainError("shape mismatch")
+        cols = [[(k, c) for k, c in enumerate(col) if c] for col in zip(*m.entries)]
+        used = {k for col in cols for k, _ in col}
+        rows = [[_prepared(e) if k in used else None for k, e in enumerate(row)]
+                for row in self.entries]
+        return SeriesMatrix._trusted(tuple(
+            tuple([_sum_of_scaled([(row[k], c) for k, c in col], DEFAULT_BUDGET) for col in cols])
+            for row in rows
+        ))
+
+    def rmul_rational(self, m: RationalMatrix) -> "SeriesMatrix":
+        """m · self for a rational m; zero entries of m are skipped."""
+        return self.transpose().mul_rational(m.transpose()).transpose()
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -948,14 +960,14 @@ class SeriesMatrix:
         return self + (other * Fraction(-1))
 
     def apply(self, vector):
-        """Matrix times vector; vector entries Fractions or LaurentSeries."""
-        out = []
-        for row in self.entries:
-            acc = LaurentSeries.zero()
-            for a, b in zip(row, vector):
-                acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
+        """Matrix times a rational vector; zero coordinates are skipped."""
+        if len(vector) != self.cols:
+            raise DomainError("shape mismatch")
+        live = [(k, c) for k, c in enumerate(vector) if c]
+        return tuple(
+            _sum_of_scaled([(_prepared(row[k]), c) for k, c in live], DEFAULT_BUDGET)
+            for row in self.entries
+        )
 
     def column(self, j):
         return tuple(row[j] for row in self.entries)
@@ -970,17 +982,17 @@ class SeriesMatrix:
             return LaurentSeries.constant(1)
         if k == 1:
             return self.entries[row_idx[0]][col_idx[0]]
-        acc = LaurentSeries.zero()
         top = row_idx[0]
         rest = row_idx[1:]
+        pairs = []
         for pos, c in enumerate(col_idx):
             e = self.entries[top][c]
             if e.is_zero() and e.is_exact():
                 continue
             sub = self.minor(rest, col_idx[:pos] + col_idx[pos + 1 :])
-            term = e * sub
-            acc = acc + (term if pos % 2 == 0 else -term)
-        return acc
+            pe = _prepared(e)
+            pairs.append((_negated(pe) if pos % 2 else pe, _prepared(sub)))
+        return _sum_of_products(pairs, DEFAULT_BUDGET)
 
     def det(self) -> LaurentSeries:
         if self.rows != self.cols:
@@ -994,6 +1006,7 @@ class SeriesMatrix:
         n = self.rows
         eye = SeriesMatrix.identity(n).entries
         m = [list(row) + list(eye[i]) for i, row in enumerate(self.entries)]
+        unit = _unit_for(m)
         for c in range(n):
             piv, pv = None, None
             for r in range(c, n):
@@ -1007,31 +1020,49 @@ class SeriesMatrix:
             if piv is None:
                 raise RankDeficiencyError("matrix is singular over the series field")
             m[c], m[piv] = m[piv], m[c]
-            inv = m[c][c].inverse()
-            m[c] = [e * inv for e in m[c]]
+            inv = _prepared(m[c][c].inverse())
+            m[c] = [_sum_of_products(((_prepared(e), inv),), unit[0].budget) for e in m[c]]
+            pivot_row = [_prepared(b) for b in m[c]]
             for r in range(n):
-                if r != c and not (m[r][c].is_zero() and m[r][c].is_exact()):
-                    f = m[r][c]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+                f = m[r][c]
+                if r != c and not (f.is_zero() and f.is_exact()):
+                    m[r] = _eliminate(m[r], f, pivot_row, unit)
         return SeriesMatrix._trusted(tuple(tuple(row[n:]) for row in m))
 
     def __repr__(self):
         return f"SeriesMatrix({self.rows}x{self.cols})"
 
 
-def _sdot(u, v):
-    return _sum_of_products(
-        [
-            (a, b)
-            for a, b in zip(u, v)
-            if not (a.is_zero() and a.is_exact()) and not (b.is_zero() and b.is_exact())
-        ],
-        DEFAULT_BUDGET,
-    )
+def _prepared(s):
+    """(s, (d, ints)) with ints = d * s.coeffs, the form the series kernels
+    take: values from the integer row, val, prec and budget from s."""
+    return s, _integer_row(s.coeffs)
+
+
+def _negated(prepared):
+    s, (d, ints) = prepared
+    return s, (d, [-x for x in ints])
+
+
+def _unit_for(rows):
+    """The exact series 1, prepared, with the largest budget in rows: as a
+    factor it leaves every budget as it is (budgets never rise)."""
+    top = max([e.budget for row in rows for e in row], default=DEFAULT_BUDGET)
+    return _prepared(LaurentSeries._trusted(0, (_ONE,), None, top))
+
+
+def _eliminate(row, f, pivot_row, unit):
+    """[a - f * b for a, b in zip(row, pivot_row)] with pivot_row prepared,
+    each entry the sum of products a·1 + (-f)·b."""
+    minus_f = _negated(_prepared(f))
+    return [
+        _sum_of_products(((_prepared(a), unit), (minus_f, b)), unit[0].budget)
+        for a, b in zip(row, pivot_row)
+    ]
 
 
 def _sum_of_products(pairs, budget) -> LaurentSeries:
-    """Σ a·b over pairs of series, accumulated over one common denominator.
+    """Σ a·b over pairs of prepared series, on one common denominator.
 
     Equal in val, coeffs, prec and budget to folding ``acc = acc + a * b``
     from ``LaurentSeries.zero(budget)``: the budget is the least of all
@@ -1041,7 +1072,7 @@ def _sum_of_products(pairs, budget) -> LaurentSeries:
     """
     prec = None
     live = []
-    for a, b in pairs:
+    for (a, (da, xs)), (b, (db, ys)) in pairs:
         budget = min(budget, a.budget, b.budget)
         for p in (
             None if a.prec is None else a.prec + b.val,
@@ -1049,26 +1080,51 @@ def _sum_of_products(pairs, budget) -> LaurentSeries:
         ):
             if p is not None and (prec is None or p < prec):
                 prec = p
-        if a.coeffs and b.coeffs:
-            live.append((a, b))
+        if xs and ys:
+            live.append((a.val + b.val, da * db, xs, ys))
+    return _integer_sum(live, prec, budget)
+
+
+def _sum_of_scaled(terms, budget) -> LaurentSeries:
+    """Σ s·c over terms (prepared series s, rational c), on one denominator.
+
+    Equal in val, coeffs, prec and budget to folding ``acc = acc + s * c``
+    from ``LaurentSeries.zero(budget)``: s·c keeps the budget and precision
+    of s, so every term counts toward both, c == 0 and zero s included.
+    """
+    prec = None
+    live = []
+    for (s, (d, xs)), c in terms:
+        if s.budget < budget:
+            budget = s.budget
+        if s.prec is not None and (prec is None or s.prec < prec):
+            prec = s.prec
+        if xs and c:
+            live.append((s.val, d * c.denominator, xs, (c.numerator,)))
+    return _integer_sum(live, prec, budget)
+
+
+def _integer_sum(live, prec, budget) -> LaurentSeries:
+    """The series Σ t^v · (xs ⊛ ys) / d over live terms (v, d, xs, ys) of
+    integer rows, truncated at prec."""
     if not live:
         return LaurentSeries._trusted(0, (), prec, budget)
-    lo = min(a.val + b.val for a, b in live)
-    hi = max(a.val + b.val + len(a.coeffs) + len(b.coeffs) - 1 for a, b in live)
+    lo = min(v for v, _, _, _ in live)
+    hi = max(v + len(xs) + len(ys) - 1 for v, _, xs, ys in live)
     if prec is not None:
         hi = min(hi, prec)
-    ints = [(_integer_row(a.coeffs), _integer_row(b.coeffs), a.val + b.val - lo) for a, b in live]
-    den = lcm(*[da * db for (da, _), (db, _), _ in ints])
-    out = [0] * max(hi - lo, 0)
-    for (da, xs), (db, ys), off in ints:
-        scale = den // (da * db)
-        for i, x in enumerate(xs):
-            k = off + i
-            if k >= len(out):
+    den = lcm(*[d for _, d, _, _ in live])
+    width = max(hi - lo, 0)
+    out = [0] * width
+    for v, d, xs, ys in live:
+        scale = den // d
+        for i, x in enumerate(xs, v - lo):
+            if i >= width:
                 break
             if x:
                 x *= scale
-                for y in ys[: len(out) - k]:
+                k = i
+                for y in ys[: width - i]:
                     if y:
                         out[k] += x * y
                     k += 1
@@ -1113,6 +1169,7 @@ def valuation_adapted_reduce(matrix: SeriesMatrix) -> tuple[ColumnReduction, lis
         empty = SeriesMatrix.identity(0)
         return ColumnReduction(empty, matrix, [], []), []
     transform = [list(col) for col in zip(*SeriesMatrix.identity(ncols).entries)]
+    unit = _unit_for(work + transform)
     used_rows: set[int] = set()
     pivot_rows = []
     pivot_vals = []
@@ -1147,8 +1204,9 @@ def valuation_adapted_reduce(matrix: SeriesMatrix) -> tuple[ColumnReduction, lis
         if pcol != k:
             work[k], work[pcol] = work[pcol], work[k]
             transform[k], transform[pcol] = transform[pcol], transform[k]
-        pivot = work[k][prow]
-        pinv = pivot.inverse()
+        pinv = work[k][prow].inverse()
+        pivot_col = [_prepared(b) for b in work[k]]
+        pivot_transform = [_prepared(b) for b in transform[k]]
         for j in range(ncols):
             if j == k:
                 continue
@@ -1156,8 +1214,8 @@ def valuation_adapted_reduce(matrix: SeriesMatrix) -> tuple[ColumnReduction, lis
             if e.is_zero() and e.is_exact():
                 continue
             q = e * pinv
-            work[j] = [a - q * b for a, b in zip(work[j], work[k])]
-            transform[j] = [a - q * b for a, b in zip(transform[j], transform[k])]
+            work[j] = _eliminate(work[j], q, pivot_col, unit)
+            transform[j] = _eliminate(transform[j], q, pivot_transform, unit)
         used_rows.add(prow)
         pivot_rows.append(prow)
         pivot_vals.append(v)

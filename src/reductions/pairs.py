@@ -20,7 +20,7 @@ from .errors import (
     IrrationalSpectrumError,
     SearchExhaustedError,
 )
-from .exact import RationalMatrix, is_squarefree, min_poly, nullspace, rat
+from .exact import RationalMatrix, is_squarefree, min_poly, nullspace, rat, rref
 from .liealg import (
     Element,
     LieAlgebra,
@@ -539,19 +539,16 @@ def cayley_orthogonal(n: int, antisym: RationalMatrix) -> tuple[RationalMatrix, 
 
 def _rational_inverse(m: RationalMatrix) -> RationalMatrix:
     n = m.rows
-    aug = RationalMatrix(
-        [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m.entries)]
+    aug = RationalMatrix._trusted(
+        tuple(
+            row + tuple(_ONE if i == j else _ZERO for j in range(n))
+            for i, row in enumerate(m.entries)
+        )
     )
-    red, pivots = rref_of(aug)
+    red, pivots = rref(aug)
     if list(pivots) != list(range(n)):
         raise DomainError("matrix is singular")
-    return RationalMatrix([row[n:] for row in red.entries[:n]])
-
-
-def rref_of(m):
-    from .exact import rref
-
-    return rref(m)
+    return RationalMatrix._trusted(tuple(row[n:] for row in red.entries[:n]))
 
 
 def sample_k_automorphism(pair: SymmetricPair, rng) -> RationalMatrix:

@@ -422,3 +422,35 @@ def test_class_closure_sl2():
     assert report.source == decomposition_signature(pair, h)
     assert reg_nilp in report.reached
     assert report.source in report.reached  # identity curve
+
+
+def test_polynomial_curve_coerces_int_coefficients():
+    # user-supplied dicts go through the coercing constructor: an int
+    # coefficient must not survive into a series, where 1 / c would be a float
+    from reductions.degeneration import PolynomialCurve
+
+    curve = PolynomialCurve([[{0: 1, 1: 2}, {-1: 3}], [{}, {0: -1}]])
+    fwd, bwd = curve.matrices()
+    assert fwd.entries[0][0].coeffs == (1, 2)
+    for m in (fwd, bwd):
+        for row in m.entries:
+            for e in row:
+                assert all(type(c) is Fraction for c in e.coeffs)
+
+
+def test_magnitude_order_reads_plain_vectors_in_p_coordinates():
+    # on a group curve a plain vector moves with the p-matrix, as planes do
+    pair = square_of("sl3")
+    curve = curve_from_generators(pair, [(diag_k_element(pair, E(3, 0, 2)), -1)])
+    rng = random.Random(3)
+    orders = set()
+    for _ in range(6):
+        vec = tuple(rat(rng.randint(-2, 2)) for _ in range(pair.p.dim))
+        if all(v == 0 for v in vec):
+            continue
+        order = magnitude_order(curve, vec)
+        assert order == magnitude_order(curve, pair.from_p_coords(vec))
+        orders.add(order)
+        with pytest.raises(DomainError):
+            magnitude_order(curve, pair.from_p_coords(vec).coords)
+    assert orders

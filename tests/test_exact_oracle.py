@@ -9,26 +9,38 @@ out of an internal constructor must be a ``Fraction``: an ``int`` would
 compare and hash equal, yet turn ``1 / x`` into a float.
 """
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reductions.degeneration import GroupCurve
+from reductions.errors import DomainError, PrecisionError, RankDeficiencyError
 from reductions.exact import (
     DEFAULT_BUDGET,
     LaurentSeries,
     LinearSolver,
     RationalMatrix,
     SeriesMatrix,
+    _eliminate,
+    _prepared,
+    _sum_of_products,
+    _sum_of_scaled,
+    _unit_for,
     intersect_row_spaces,
     min_poly,
     nullspace,
     rank,
+    rat,
     rref,
     row_space,
     solve,
 )
+from reductions.pairs import k_nilpotent_elements, make_transpose_pair, square_of
 
 try:
     import sympy
@@ -324,3 +336,324 @@ def test_series_matrix_product_matches_fold(rows):
         if not (a.is_zero() and a.is_exact()) and not (b.is_zero() and b.is_exact()):
             acc = _ref_add(acc, _ref_mul(a, b))
     assert _state((left * right).entries[0][0]) == _state(acc)
+
+
+# -- series kernels and SeriesMatrix methods: same val, coeffs, prec and
+# budget as the ``acc = acc + ...`` folds they replaced, which are kept here
+
+
+def _exact_zero(s):
+    return s.is_zero() and s.is_exact()
+
+
+def _ref_scaled_sum(terms, budget=DEFAULT_BUDGET):
+    acc = LaurentSeries.zero(budget)
+    for s, c in terms:
+        acc = _ref_add(acc, LaurentSeries(s.val, [x * c for x in s.coeffs], s.prec, s.budget))
+    return acc
+
+
+def _ref_product_sum(pairs, budget=DEFAULT_BUDGET):
+    acc = LaurentSeries.zero(budget)
+    for a, b in pairs:
+        acc = _ref_add(acc, _ref_mul(a, b))
+    return acc
+
+
+def _ref_matmul(left, right):
+    """Series matrix product, one dot product per entry over the pairs with
+    no exact zero."""
+    return [
+        [
+            _ref_product_sum(
+                [(a, b) for a, b in zip(row, col) if not _exact_zero(a) and not _exact_zero(b)]
+            )
+            for col in zip(*right)
+        ]
+        for row in left
+    ]
+
+
+def _ref_mul_rational(rows, m):
+    return [
+        [_ref_scaled_sum([(e, c) for e, c in zip(row, col) if c != 0]) for col in zip(*m.entries)]
+        for row in rows
+    ]
+
+
+def _ref_rmul_rational(m, rows):
+    return [
+        [_ref_scaled_sum([(e, c) for c, e in zip(mrow, col) if c != 0]) for col in zip(*rows)]
+        for mrow in m.entries
+    ]
+
+
+def _ref_minor(rows, row_idx, col_idx):
+    """Laplace expansion along the first row."""
+    if not row_idx:
+        return LaurentSeries.constant(1)
+    if len(row_idx) == 1:
+        return rows[row_idx[0]][col_idx[0]]
+    acc = LaurentSeries.zero()
+    for pos, c in enumerate(col_idx):
+        e = rows[row_idx[0]][c]
+        if _exact_zero(e):
+            continue
+        term = _ref_mul(e, _ref_minor(rows, row_idx[1:], col_idx[:pos] + col_idx[pos + 1 :]))
+        acc = _ref_add(acc, term if pos % 2 == 0 else -term)
+    return acc
+
+
+def _ref_inverse(rows):
+    """Gauss elimination with minimal-valuation pivoting, row by row."""
+    n = len(rows)
+    eye = SeriesMatrix.identity(n).entries
+    m = [list(row) + list(eye[i]) for i, row in enumerate(rows)]
+    for c in range(n):
+        piv, pv = None, None
+        for r in range(c, n):
+            e = m[r][c]
+            if e.is_zero():
+                if not e.is_exact():
+                    raise PrecisionError("pivot entry is zero so far")
+                continue
+            if pv is None or e.valuation() < pv:
+                piv, pv = r, e.valuation()
+        if piv is None:
+            raise RankDeficiencyError("matrix is singular over the series field")
+        m[c], m[piv] = m[piv], m[c]
+        inv = m[c][c].inverse()
+        m[c] = [_ref_mul(e, inv) for e in m[c]]
+        for r in range(n):
+            f = m[r][c]
+            if r != c and not _exact_zero(f):
+                m[r] = [_ref_add(a, -_ref_mul(f, b)) for a, b in zip(m[r], m[c])]
+    return [row[n:] for row in m]
+
+
+@st.composite
+def kernel_series(draw):
+    """Series with negative valuations, exact and tracked zeros, budgets 8-32."""
+    budget = draw(st.sampled_from([8, DEFAULT_BUDGET, 32]))
+    val = draw(st.integers(-3, 3))
+    kind = draw(st.sampled_from(["series", "series", "series", "exact zero", "tracked zero"]))
+    if kind == "exact zero":
+        return LaurentSeries(0, [], None, budget)
+    if kind == "tracked zero":
+        return LaurentSeries(0, [], val + draw(st.integers(0, 6)), budget)
+    coeffs = draw(st.lists(st.one_of(st.just(0), small), min_size=1, max_size=5))
+    prec = draw(st.one_of(st.none(), st.integers(val, val + 8)))
+    return LaurentSeries(val, coeffs, prec, budget)
+
+
+def series_rows(draw, rows, cols):
+    return [[draw(kernel_series()) for _ in range(cols)] for _ in range(rows)]
+
+
+def _states(rows):
+    return [[_state(e) for e in row] for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=st.lists(st.tuples(kernel_series(), entries), max_size=5),
+    pairs=st.lists(st.tuples(kernel_series(), kernel_series()), max_size=4),
+    budget=st.sampled_from([8, DEFAULT_BUDGET, 32]),
+    update=st.tuples(
+        kernel_series(), st.lists(st.tuples(kernel_series(), kernel_series()), max_size=3)
+    ),
+)
+def test_kernels_match_folds(terms, pairs, budget, update):
+    scaled = _sum_of_scaled([(_prepared(s), c) for s, c in terms], budget)
+    assert _state(scaled) == _state(_ref_scaled_sum(terms, budget))
+    products = _sum_of_products([(_prepared(a), _prepared(b)) for a, b in pairs], budget)
+    assert _state(products) == _state(_ref_product_sum(pairs, budget))
+    # the elimination row update a - f * b
+    f, row_pairs = update
+    row, pivot_row = [a for a, _ in row_pairs], [b for _, b in row_pairs]
+    got = _eliminate(row, f, [_prepared(b) for b in pivot_row], _unit_for([row, pivot_row, [f]]))
+    assert [_state(e) for e in got] == [
+        _state(_ref_add(a, -_ref_mul(f, b))) for a, b in zip(row, pivot_row)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    s=kernel_series(),
+    tail=st.lists(small, max_size=3),
+    unit_prec=st.one_of(st.none(), st.integers(1, 6)),
+)
+def test_substitution_matches_fold(s, tail, unit_prec):
+    unit = LaurentSeries(0, [1, *tail], unit_prec, s.budget)
+    if s.is_zero():
+        return
+    powers = {0: LaurentSeries.constant(1, s.budget)}
+    for k in range(1, abs(s.val) + len(s.coeffs) + 1):
+        powers[k] = _ref_mul(powers[k - 1], unit)
+        powers[-k] = _ref_mul(powers[-k + 1], unit.inverse())
+    ref = LaurentSeries.zero(s.budget)
+    for k, c in enumerate(s.coeffs, s.val):
+        if c != 0:
+            moved = powers[k].shift(k)
+            ref = _ref_add(ref, _ref_scaled_sum([(moved, c)], moved.budget))
+    if s.prec is not None:
+        ref = ref.truncate(s.prec)
+    assert _state(s.substitute_scaled(unit)) == _state(ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_series_matrix_products_match_folds(data):
+    r, k, c = (data.draw(st.integers(1, 3)) for _ in range(3))
+    a = series_rows(data.draw, r, k)
+    b = series_rows(data.draw, k, c)
+    q = data.draw(matrices(rows=k, cols=c))
+    p = data.draw(matrices(rows=r, cols=k))
+    v = data.draw(st.lists(entries, min_size=k, max_size=k))
+    sa = SeriesMatrix(a)
+    assert _states((sa * SeriesMatrix(b)).entries) == _states(_ref_matmul(a, b))
+    assert _states(sa.mul_rational(q).entries) == _states(_ref_mul_rational(a, q))
+    assert _states(SeriesMatrix(b).rmul_rational(p).entries) == _states(_ref_rmul_rational(p, b))
+    # apply skips zero coordinates, as the mat-vec fold of the curves did
+    assert [_state(e) for e in sa.apply(v)] == [
+        _state(_ref_scaled_sum([(e, c) for e, c in zip(row, v) if c != 0])) for row in a
+    ]
+    with pytest.raises(DomainError):
+        sa.apply(v + [Fraction(1)])
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except (PrecisionError, RankDeficiencyError) as err:
+        return "error", type(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_minor_and_inverse_match_folds(data):
+    n = data.draw(st.integers(1, 3))
+    rows = series_rows(data.draw, n, n)
+    m = SeriesMatrix(rows)
+    for k in range(n + 1):
+        for row_idx in itertools.combinations(range(n), k):
+            for col_idx in itertools.combinations(range(n), k):
+                ref = _ref_minor(rows, row_idx, col_idx)
+                assert _state(m.minor(row_idx, col_idx)) == _state(ref)
+    kind, got = _outcome(SeriesMatrix.inverse, m)
+    ref_kind, ref = _outcome(_ref_inverse, rows)
+    assert kind == ref_kind
+    assert _states(got.entries) == _states(ref) if kind == "value" else got is ref
+
+
+# Curves built through the folds: exponential and Cayley moves, composed by
+# series products, conjugated through the realization and restricted to p.
+
+
+def _ref_poly_exp(powers, exponent, budget, sign):
+    n = powers[0].rows
+    entries = [[{} for _ in range(n)] for _ in range(n)]
+    for k, mat in enumerate(powers):
+        if mat.is_zero():
+            break
+        coef = Fraction(sign**k, math.factorial(k))
+        for i in range(n):
+            for j in range(n):
+                if mat.entries[i][j] != 0:
+                    d = entries[i][j]
+                    d[k * exponent] = d.get(k * exponent, 0) + coef * mat.entries[i][j]
+    out = []
+    for row in entries:
+        out.append([])
+        for d in row:
+            d = {e: v for e, v in d.items() if v != 0}
+            lo = min(d, default=0)
+            coeffs = [d.get(e, 0) for e in range(lo, max(d, default=-1) + 1)]
+            out[-1].append(LaurentSeries(lo, coeffs, None, budget))
+    return out
+
+
+def _ref_exp_move(pair, y, exponent, budget):
+    ad = pair.g.ad(y)
+    powers = [RationalMatrix.identity(pair.g.dim)]
+    while not powers[-1].is_zero():
+        powers.append(powers[-1] * ad)
+    return (_ref_poly_exp(powers, exponent, budget, 1), _ref_poly_exp(powers, exponent, budget, -1))
+
+
+def _ref_conjugation(pair, q, q_inv):
+    g = pair.g
+    g.from_realization(g.realization[0])  # primes the realization solver
+    solver = g._realization_solver
+    cols = []
+    for rho in g.realization:
+        lifted = [[LaurentSeries.constant(c, q[0][0].budget) for c in row] for row in rho.entries]
+        rhs = [e for row in _ref_matmul(_ref_matmul(q, lifted), q_inv) for e in row]
+        y = [
+            _ref_scaled_sum([(b, c) for c, b in zip(row, rhs) if c != 0], rhs[0].budget)
+            for row in solver.transform.entries
+        ]
+        assert all(s.is_zero() for s in y[solver.rank :])
+        x = [LaurentSeries.zero(rhs[0].budget) for _ in range(solver.matrix.cols)]
+        for r, p in enumerate(solver.pivots):
+            x[p] = y[r]
+        cols.append(x)
+    return [list(row) for row in zip(*cols)]
+
+
+def _ref_cayley_move(pair, y, exponent, budget):
+    real = pair.g.realize(y)
+    n = real.rows
+    scaled = SeriesMatrix(
+        [
+            [
+                LaurentSeries.t_power(exponent, c, budget) if c != 0 else LaurentSeries.zero(budget)
+                for c in row
+            ]
+            for row in real.entries
+        ]
+    )
+    eye = SeriesMatrix.identity(n, budget)
+    q = _ref_matmul((eye + scaled).entries, _ref_inverse((eye - scaled).entries))
+    q_inv = _ref_matmul((eye - scaled).entries, _ref_inverse((eye + scaled).entries))
+    return _ref_conjugation(pair, q, q_inv), _ref_conjugation(pair, q_inv, q)
+
+
+def _ref_curve(pair, moves, budget):
+    fwd = bwd = SeriesMatrix.identity(pair.g.dim, budget).entries
+    for kind, y, exponent in moves:
+        move = _ref_exp_move if kind == "exp" else _ref_cayley_move
+        mf, mb = move(pair, y, exponent, budget)
+        fwd = _ref_matmul(fwd, mf)
+        bwd = _ref_matmul(mb, bwd)
+    p_rows = pair.p.basis
+    pivots = rref(p_rows)[1]
+    images = [
+        [_ref_scaled_sum([(e, c) for e, c in zip(frow, prow) if c != 0]) for frow in fwd]
+        for prow in p_rows.entries
+    ]
+    p_matrix = [[img[c] for img in images] for c in pivots]
+    return fwd, bwd, p_matrix
+
+
+def _curve_moves(name):
+    if name == "square(sl3)":
+        pair = square_of("sl3")
+        gens = k_nilpotent_elements(pair, random.Random(3), count=2)
+        return pair, [("exp", y, e) for y, e in zip(gens, (-1, -2))]
+    pair = make_transpose_pair(3)
+    k0, k1, k2 = pair.k.basis_elements()
+    return pair, [("cayley", k0 + k1 * rat(2), -1), ("cayley", k2, -2)]
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 32])
+@pytest.mark.parametrize("name", ["square(sl3)", "transpose3"])
+def test_curves_match_fold_built_curves(name, budget):
+    pair, moves = _curve_moves(name)
+    assert len(moves) == 2
+    curve = GroupCurve(pair, moves, budget)  # validated on construction
+    fwd, bwd = curve.matrices()
+    ref_fwd, ref_bwd, ref_p = _ref_curve(pair, moves, budget)
+    assert _states(fwd.entries) == _states(ref_fwd)
+    assert _states(bwd.entries) == _states(ref_bwd)
+    assert _states(curve.p_matrix().entries) == _states(ref_p)
