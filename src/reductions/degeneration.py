@@ -11,7 +11,10 @@ coordinates, and the two must agree exactly.
 Three exact move families generate the curves used here: exponentials of
 nilpotent adjoint actions with t-power weights, Cayley rotations for the
 orthogonal fixed groups, and weight-torus conjugations for Cartesian
-squares.
+squares.  Each move commutes with the involution and so preserves p, where
+every moved plane lies: a group curve builds its p-matrix directly, move by
+move on the rows of p, and its matrices on all of g only lazily, for
+validation and for reads of g-level values.
 """
 
 from __future__ import annotations
@@ -146,10 +149,16 @@ class GroupCurve(VectorCurve):
     """Composite of exact moves in the fixed group of a symmetric pair.
 
     Moves are ('exp', element, exponent), ('cayley', element, exponent) or
-    ('torus', weights).  The built matrix acts on algebra coordinates; its
-    restriction to p is what the limit machinery consumes.  Construction
-    verifies, to the truncation budget, that the family commutes with the
-    involution, preserves the bracket and inverts against its companion.
+    ('torus', weights).  Every move commutes with the involution, so it
+    preserves p, and the p-matrix the limit machinery consumes is built
+    directly: each move is formed on the rows of p alone, in p coordinates,
+    and the dim p × dim p blocks are multiplied.  The same move builder on
+    the identity basis of g gives the matrices on all of g and their inverse
+    companion; those are built lazily, only where g-level values are read
+    (``matrices()``, ``magnitude_order`` of an Element, validation).  With
+    ``validate`` they are checked, to the truncation budget, to commute with
+    the involution, preserve the bracket and invert against their companion,
+    and the p-matrix is checked against their restriction to p.
     """
 
     def __init__(self, pair: SymmetricPair, moves, budget=DEFAULT_BUDGET, validate=True):
@@ -160,53 +169,88 @@ class GroupCurve(VectorCurve):
         self._p_cache = {}
 
     def _build(self, budget):
-        pair = self.pair
-        fwd = SeriesMatrix.identity(pair.g.dim, budget)
-        bwd = SeriesMatrix.identity(pair.g.dim, budget)
-        for move in self.moves:
-            mf, mb = _move_matrices(pair, move, budget)
-            fwd = fwd * mf
-            bwd = mb * bwd
+        eye = RationalMatrix.identity(self.dim)
+        fwd, bwd = _compose(self.pair, self.moves, budget, eye, inverse=True)
         if self.validate:
-            _validate_curve(pair, fwd, bwd)
+            _validate_curve(self.pair, fwd, bwd)
         return fwd, bwd
 
     def p_matrix(self, budget=None) -> SeriesMatrix:
         b = budget or self.budget
         if b not in self._p_cache:
-            fwd, _ = self.matrices(b)
-            self._p_cache[b] = _restrict_to_p(self.pair, fwd)
+            self._p_cache[b] = self._build_p(b)
         return self._p_cache[b]
 
+    def _build_p(self, budget):
+        if sum(move[0] == "cayley" for move in self.moves) > 1:
+            # the precision a product of inexact blocks tracks depends on the
+            # coordinates it is formed in: past one Cayley move the p-only product
+            # can know more terms (transpose3), so keep the g-level product's
+            return _restrict_to_p(self.pair, self.matrices(budget)[0])
+        (mat,) = _compose(self.pair, self.moves, budget, self.pair.p.basis, inverse=False)
+        if self.validate:
+            oracle = _restrict_to_p(self.pair, self.matrices(budget)[0])
+            if not all((a - o).is_zero() for ra, ro in zip(mat.entries, oracle.entries)
+                       for a, o in zip(ra, ro)):
+                raise InternalCheckError("p-matrix disagrees with the curve restricted to p")
+        return mat
 
-def _move_matrices(pair, move, budget):
+
+def _compose(pair, moves, budget, basis, inverse):
+    """The curve on the span of ``basis`` (rows in reduced echelon form,
+    spanning p or all of g), in the coordinates of those rows; with
+    ``inverse`` also its inverse companion."""
+    pivots = [next(j for j, c in enumerate(row) if c) for row in basis.entries]
+    fwd = bwd = SeriesMatrix.identity(basis.rows, budget)
+    for move in moves:
+        mats = _move_matrices(pair, move, budget, basis, pivots, inverse)
+        fwd = fwd * mats[0]
+        if inverse:
+            bwd = mats[1] * bwd
+    return (fwd, bwd) if inverse else (fwd,)
+
+
+def _move_matrices(pair, move, budget, basis, pivots, inverse):
+    """The move on the span of ``basis`` in the coordinates of its rows and,
+    with ``inverse``, the inverse move after it."""
     kind = move[0]
+    if kind not in ("exp", "cayley", "torus"):
+        raise DomainError(f"unknown curve move {kind!r}")
+    if kind != "torus" and not pair.k.contains(move[1]):
+        raise DomainError("curve generator must lie in k")
+    signs = (1, -1) if inverse else (1,)
     if kind == "exp":
         _, y, exponent = move
-        return _exp_move(pair, y, exponent, budget)
+        powers = _ad_powers(pair.g, y, basis, pivots)
+        return [_poly_exp(powers, exponent, budget, sign) for sign in signs]
     if kind == "cayley":
-        _, y, exponent = move
-        return _cayley_move(pair, y, exponent, budget)
-    if kind == "torus":
-        _, weights = move
-        return _torus_move(pair, weights, budget)
-    raise DomainError(f"unknown curve move {kind!r}")
+        q, q_inv = _cayley_factors(pair.g, move[1], move[2], budget)
+    else:
+        q, q_inv = _torus_factors(pair.g, move[1], budget)
+    factors = ((q, q_inv), (q_inv, q))[: len(signs)]
+    return [_conjugation_on_coords(pair.g, a, a_inv, basis, pivots) for a, a_inv in factors]
 
 
-def _exp_move(pair, y: Element, exponent: int, budget):
-    g = pair.g
-    if not pair.k.contains(y):
-        raise DomainError("curve generator must lie in k")
+def _ad_powers(g, y: Element, basis, pivots):
+    """Powers of ad(y) on the span of ``basis`` in its coordinates, up to the
+    first zero power.  Nilpotency is checked on all of g."""
     ad = g.ad(y)
-    n = g.dim
-    powers = [RationalMatrix.identity(n)]
+    power = ad
+    for _ in range(g.dim):
+        if power.is_zero():
+            break
+        power = power * ad
+    else:
+        raise DomainError("curve generator does not act nilpotently")
+    columns = basis.transpose()
+    images = ad * columns  # column j: ad(y) applied to basis row j
+    block = RationalMatrix._trusted(tuple(images.entries[c] for c in pivots))
+    if columns * block != images:
+        raise InternalCheckError("curve does not preserve p")
+    powers = [RationalMatrix.identity(basis.rows)]
     while not powers[-1].is_zero():
-        powers.append(powers[-1] * ad)
-        if len(powers) > n + 1:
-            raise DomainError("curve generator does not act nilpotently")
-    fwd = _poly_exp(powers, exponent, budget, 1)
-    bwd = _poly_exp(powers, exponent, budget, -1)
-    return fwd, bwd
+        powers.append(powers[-1] * block)
+    return powers
 
 
 def _poly_exp(powers, exponent, budget, sign):
@@ -239,73 +283,73 @@ def _series_from_dict(d, budget):
     return LaurentSeries(lo, [d.get(k, _ZERO) for k in range(lo, hi + 1)], None, budget)
 
 
-def _cayley_move(pair, y: Element, exponent: int, budget):
-    g = pair.g
-    if not pair.k.contains(y):
-        raise DomainError("curve generator must lie in k")
-    real = g.realize(y)
-    n = real.rows
-    scaled = SeriesMatrix(
-        [
-            [LaurentSeries.t_power(exponent, real.entries[i][j], budget)
-             if real.entries[i][j] != 0 else LaurentSeries.zero(budget)
-             for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    eye = SeriesMatrix.identity(n, budget)
-    minus_inv = (eye - scaled).inverse()
-    q = (eye + scaled) * minus_inv
-    plus_inv = (eye + scaled).inverse()
-    q_inv = (eye - scaled) * plus_inv
-    return _conjugation_on_coords(pair, q, q_inv), _conjugation_on_coords(pair, q_inv, q)
+def _cayley_factors(g, y: Element, exponent: int, budget):
+    """q = (I + t^e y)(I - t^e y)^{-1} and its inverse, on the realization."""
+    scaled = SeriesMatrix([
+        [LaurentSeries.t_power(exponent, c, budget) if c else LaurentSeries.zero(budget)
+         for c in row]
+        for row in g.realize(y).entries
+    ])
+    eye = SeriesMatrix.identity(scaled.rows, budget)
+    q = (eye + scaled) * (eye - scaled).inverse()
+    q_inv = (eye - scaled) * (eye + scaled).inverse()
+    return q, q_inv
 
 
-def _torus_move(pair, weights, budget):
-    g = pair.g
+def _torus_factors(g, weights, budget):
+    """diag(t^{w_i}) and its inverse, on the realization."""
     real_dim = g.realization[0].rows
     if len(weights) * 2 == real_dim:
         weights = tuple(weights) + tuple(weights)  # same torus in both square factors
     if len(weights) != real_dim:
         raise DomainError("torus weights must match the realization size")
-    diag = SeriesMatrix(
-        [
-            [LaurentSeries.t_power(weights[i], 1, budget) if i == j else LaurentSeries.zero(budget)
+    return tuple(
+        SeriesMatrix([
+            [LaurentSeries.t_power(sign * w, 1, budget) if i == j else LaurentSeries.zero(budget)
              for j in range(real_dim)]
-            for i in range(real_dim)
-        ]
+            for i, w in enumerate(weights)
+        ])
+        for sign in (1, -1)
     )
-    inv = SeriesMatrix(
-        [
-            [LaurentSeries.t_power(-weights[i], 1, budget) if i == j else LaurentSeries.zero(budget)
-             for j in range(real_dim)]
-            for i in range(real_dim)
-        ]
-    )
-    return _conjugation_on_coords(pair, diag, inv), _conjugation_on_coords(pair, inv, diag)
 
 
-def _conjugation_on_coords(pair, q: SeriesMatrix, q_inv: SeriesMatrix) -> SeriesMatrix:
-    """Adjoint action of a realization-level series matrix, in g coordinates:
-    column i holds the coordinates of (q·ρᵢ)·q⁻¹."""
-    g = pair.g
+def _conjugation_on_coords(g, q: SeriesMatrix, q_inv: SeriesMatrix, basis, pivots) -> SeriesMatrix:
+    """Adjoint action of a realization-level series matrix on the span of
+    ``basis``, in the coordinates of its rows: column j holds the coordinates
+    of (q·ρ(b_j))·q⁻¹ for basis row b_j."""
     if g._realization_solver is None:
         g.from_realization(g.realization[0])  # prime the solver
     solver = g._realization_solver
     transform = [[(k, c) for k, c in enumerate(row) if c] for row in solver.transform.entries]
     cols = []
-    for rho in g.realization:
-        img = q.mul_rational(rho) * q_inv
-        rhs = [_prepared(e) for row in img.entries for e in row]
+    for row in basis.entries:
+        img = q.mul_rational(g.realize(Element._trusted(g, row))) * q_inv
+        rhs = [_prepared(e) for r in img.entries for e in r]
         budget = rhs[0][0].budget
-        y = [_sum_of_scaled([(rhs[k], c) for k, c in row], budget) for row in transform]
+        y = [_sum_of_scaled([(rhs[k], c) for k, c in r], budget) for r in transform]
         if not all(s.is_zero() for s in y[solver.rank :]):
             raise InternalCheckError("conjugated matrix left the realized algebra")
         x = [LaurentSeries.zero(budget) for _ in range(solver.matrix.cols)]
         for r, p in enumerate(solver.pivots):
             x[p] = y[r]
         cols.append(x)
-    return SeriesMatrix._trusted(tuple(zip(*cols)))
+    return _coordinates_in(basis, pivots, SeriesMatrix._trusted(tuple(zip(*cols))))
+
+
+def _coordinates_in(basis, pivots, images: SeriesMatrix) -> SeriesMatrix:
+    """Coordinates over the rows of ``basis`` (reduced echelon form, leading
+    columns ``pivots``) of the columns of ``images``: their entries at the
+    pivots.  Off the pivots each image must be the combination of the rows
+    those coordinates give, to the tracked precision."""
+    coords = SeriesMatrix._trusted(tuple(images.entries[c] for c in pivots))
+    rows = [[_prepared(e) for e in row] for row in coords.entries]
+    for k in sorted(set(range(basis.cols)) - set(pivots)):
+        col = [(row, b) for row, b in zip(rows, basis.column(k)) if b]
+        for j, e in enumerate(images.entries[k]):
+            terms = [(_prepared(e), -_ONE)] + [(row[j], b) for row, b in col]
+            if not _sum_of_scaled(terms, DEFAULT_BUDGET).is_zero():
+                raise InternalCheckError("curve does not preserve p")
+    return coords
 
 
 def _validate_curve(pair, fwd: SeriesMatrix, bwd: SeriesMatrix):
@@ -353,17 +397,10 @@ def _series_bracket(g, xs, ys):
 
 
 def _restrict_to_p(pair, fwd: SeriesMatrix) -> SeriesMatrix:
-    """The curve action in p coordinates (the curve preserves p)."""
+    """The p-matrix read off the g-level matrix of a curve: the oracle the
+    p-only build is checked against."""
     p_rows = pair.p.basis
-    p_cols = p_rows.transpose()
-    images = fwd.mul_rational(p_cols)  # column j: the image of p row j
-    coords = SeriesMatrix._trusted(tuple(images.entries[c] for c in rref(p_rows)[1]))
-    # consistency: each image must be the combination of p rows given by its coords
-    recon = coords.rmul_rational(p_cols)
-    for img_row, recon_row in zip(images.entries, recon.entries):
-        if not all((a - b).is_zero() for a, b in zip(img_row, recon_row)):
-            raise InternalCheckError("curve does not preserve p")
-    return coords
+    return _coordinates_in(p_rows, rref(p_rows)[1], fwd.mul_rational(p_rows.transpose()))
 
 
 # -- constructors mirroring the move families
@@ -437,7 +474,8 @@ def _moving_matrix(curve, basis_rows: RationalMatrix, budget=None) -> SeriesMatr
     return _acting_matrix(curve, budget).mul_rational(basis_rows.transpose())
 
 
-def _flag_from_moving(moving: SeriesMatrix, r) -> MagnitudeFlag:
+def _flag_from_moving(moving: SeriesMatrix, basis: RationalMatrix) -> MagnitudeFlag:
+    r = basis.rows
     start = min_valuation([e for row in moving.entries for e in row])
     constraints = []
     dims = []
@@ -462,7 +500,7 @@ def _flag_from_moving(moving: SeriesMatrix, r) -> MagnitudeFlag:
         if dims[idx] > nxt:
             jumps.append(start + idx)
             levels.append(level_mats[idx])
-    return MagnitudeFlag(jumps, levels, None)
+    return MagnitudeFlag(jumps, levels, basis)
 
 
 def magnitude_flag(curve, plane, budget=None) -> MagnitudeFlag:
@@ -473,10 +511,7 @@ def magnitude_flag(curve, plane, budget=None) -> MagnitudeFlag:
     directly computed magnitude orders by the test-suite invariants.
     """
     basis = plane.matrix if isinstance(plane, Plane) else plane
-    moving = _moving_matrix(curve, basis, budget)
-    flag = _flag_from_moving(moving, basis.rows)
-    flag.basis = basis
-    return flag
+    return _flag_from_moving(_moving_matrix(curve, basis, budget), basis)
 
 
 def _combo_to_vector(combo, basis: RationalMatrix):
@@ -516,8 +551,12 @@ def magnitude_basis(curve, plane, split=None, budget=None):
 
     Returns a list of (combination row over the plane basis, magnitude order).
     """
-    basis = plane.matrix if isinstance(plane, Plane) else plane
-    flag = magnitude_flag(curve, plane, budget)
+    return _adapted_basis(magnitude_flag(curve, plane, budget), plane, split)
+
+
+def _adapted_basis(flag: MagnitudeFlag, plane, split=None):
+    """``magnitude_basis`` from the plane's magnitude flag."""
+    basis = flag.basis
     r = basis.rows
     split_combos = None
     if split is not None:
@@ -635,7 +674,7 @@ def _limit_once(curve, plane, budget) -> LimitComputation:
     basis = plane.matrix if isinstance(plane, Plane) else plane
     r = basis.rows
     moving = _moving_matrix(curve, basis, budget)
-    adapted = magnitude_basis(curve, plane, budget=budget)
+    adapted = _adapted_basis(_flag_from_moving(moving, basis), plane)
     vectors = RationalMatrix._trusted(tuple(_combo_to_vector(c, basis) for c, _ in adapted))
     moved = _moving_matrix(curve, vectors, budget)
 

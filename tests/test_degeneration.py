@@ -1,11 +1,12 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
-from reductions.errors import DomainError
+from reductions.errors import DomainError, InternalCheckError
 from reductions.exact import RationalMatrix, rat
-from reductions.liealg import classify_element
+from reductions.liealg import Subspace, classify_element
 from reductions.pairs import make_transpose_pair, square_of
 from reductions.planes import (
     cartan_plane,
@@ -175,6 +176,33 @@ def test_curve_rejects_non_nilpotent_generator():
     h_diag = diag_k_element(pair, RationalMatrix([[1, 0], [0, -1]]))
     with pytest.raises(DomainError):
         GroupCurve(pair, [("exp", h_diag, -1)], validate=False).matrices()
+
+
+def test_p_matrix_rejects_a_semisimple_generator():
+    # a Cartan element of k: ad of it is semisimple, never nilpotent on g
+    pair = square_of("sl3")
+    h_diag = diag_k_element(pair, RationalMatrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]]))
+    for validate in (False, True):
+        curve = GroupCurve(pair, [("exp", h_diag, -1)], validate=validate)
+        with pytest.raises(DomainError, match="curve generator does not act nilpotently"):
+            curve.p_matrix()
+
+
+def test_p_only_build_checks_that_the_curve_preserves_p():
+    # the same pair with p tilted into k: a subspace of the same dimension
+    # that k does not preserve, which each p-only move builder must notice
+    pair = square_of("sl3")
+    rows = [list(row) for row in pair.p.basis.entries]
+    rows[0] = [a + b for a, b in zip(rows[0], pair.k.basis.entries[0])]
+    tilted = copy.copy(pair)
+    tilted.p = Subspace(pair.g, RationalMatrix(rows))
+    assert tilted.p.dim == pair.p.dim
+    k_els = pair.k.basis_elements()
+    for move in (("exp", diag_k_element(pair, E(3, 0, 1)), -1),
+                 ("cayley", k_els[0] + k_els[-1] * rat(2), -1)):
+        GroupCurve(pair, [move], validate=False).p_matrix()  # the true p is preserved
+        with pytest.raises(InternalCheckError, match="curve does not preserve p"):
+            GroupCurve(tilted, [move], validate=False).p_matrix()
 
 
 def test_limits_of_abelian_planes_stay_abelian():

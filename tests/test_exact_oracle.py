@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reductions.degeneration import GroupCurve
+from reductions.acceptance import _sample_curve
+from reductions.degeneration import GroupCurve, _restrict_to_p
 from reductions.errors import DomainError, PrecisionError, RankDeficiencyError
 from reductions.exact import (
     DEFAULT_BUDGET,
@@ -619,11 +620,27 @@ def _ref_cayley_move(pair, y, exponent, budget):
     return _ref_conjugation(pair, q, q_inv), _ref_conjugation(pair, q_inv, q)
 
 
+def _ref_torus_move(pair, weights, budget):
+    n = pair.g.realization[0].rows
+    weights = tuple(weights) * (n // len(weights))  # a square repeats its torus
+
+    def diag(sign):
+        return [
+            [LaurentSeries.t_power(sign * w, 1, budget) if i == j else LaurentSeries.zero(budget)
+             for j in range(n)]
+            for i, w in enumerate(weights)
+        ]
+
+    return _ref_conjugation(pair, diag(1), diag(-1)), _ref_conjugation(pair, diag(-1), diag(1))
+
+
+_REF_MOVES = {"exp": _ref_exp_move, "cayley": _ref_cayley_move, "torus": _ref_torus_move}
+
+
 def _ref_curve(pair, moves, budget):
     fwd = bwd = SeriesMatrix.identity(pair.g.dim, budget).entries
-    for kind, y, exponent in moves:
-        move = _ref_exp_move if kind == "exp" else _ref_cayley_move
-        mf, mb = move(pair, y, exponent, budget)
+    for kind, *args in moves:
+        mf, mb = _REF_MOVES[kind](pair, *args, budget)
         fwd = _ref_matmul(fwd, mf)
         bwd = _ref_matmul(mb, bwd)
     p_rows = pair.p.basis
@@ -636,24 +653,57 @@ def _ref_curve(pair, moves, budget):
     return fwd, bwd, p_matrix
 
 
-def _curve_moves(name):
-    if name == "square(sl3)":
-        pair = square_of("sl3")
-        gens = k_nilpotent_elements(pair, random.Random(3), count=2)
-        return pair, [("exp", y, e) for y, e in zip(gens, (-1, -2))]
-    pair = make_transpose_pair(3)
-    k0, k1, k2 = pair.k.basis_elements()
-    return pair, [("cayley", k0 + k1 * rat(2), -1), ("cayley", k2, -2)]
+# weights of a one-parameter subgroup of each square factor's torus
+_TORUS = {"square(sl2)": (1, -1), "square(sl3)": (2, 0, -1), "square(sp4)": (1, 2, -1, -2)}
+
+
+def _curves(name):
+    """The pair called ``name`` and curves on it, the two-move curve first:
+    each move family alone and two-move mixtures."""
+    if name == "transpose3":
+        pair = make_transpose_pair(3)
+        k0, k1, k2 = pair.k.basis_elements()
+        cayley = [("cayley", k0 + k1 * rat(2), -1), ("cayley", k2, -2)]
+        return pair, [cayley, cayley[:1], cayley[1:]]
+    pair = square_of(name[len("square("):-1])
+    gens = k_nilpotent_elements(pair, random.Random(3), count=2)
+    exp = [("exp", y, e) for y, e in zip(gens, (-1, -2))]
+    k_els = pair.k.basis_elements()
+    cayley = ("cayley", k_els[0] + k_els[-1] * rat(2), -1)
+    torus = ("torus", _TORUS[name])
+    return pair, [exp, exp[:1], [cayley], [torus], [torus, exp[0]], [cayley, exp[0]],
+                  [exp[0], torus], [cayley, torus]]
 
 
 @pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 32])
-@pytest.mark.parametrize("name", ["square(sl3)", "transpose3"])
+@pytest.mark.parametrize("name", ["square(sl3)", "transpose3", "square(sl2)", "square(sp4)"])
 def test_curves_match_fold_built_curves(name, budget):
-    pair, moves = _curve_moves(name)
-    assert len(moves) == 2
-    curve = GroupCurve(pair, moves, budget)  # validated on construction
-    fwd, bwd = curve.matrices()
-    ref_fwd, ref_bwd, ref_p = _ref_curve(pair, moves, budget)
-    assert _states(fwd.entries) == _states(ref_fwd)
-    assert _states(bwd.entries) == _states(ref_bwd)
-    assert _states(curve.p_matrix().entries) == _states(ref_p)
+    # the p-matrix is built before any g-level read, so it comes from the
+    # p-only build (restricted from g only past one Cayley move)
+    pair, curves = _curves(name)
+    assert len(curves[0]) == 2
+    for moves in curves:
+        ref_fwd, ref_bwd, ref_p = _ref_curve(pair, moves, budget)
+        for validate in (False, True):
+            curve = GroupCurve(pair, moves, budget, validate)
+            assert _states(curve.p_matrix().entries) == _states(ref_p)
+            fwd, bwd = curve.matrices()
+            assert _states(fwd.entries) == _states(ref_fwd)
+            assert _states(bwd.entries) == _states(ref_bwd)
+
+
+@pytest.mark.parametrize("name", ["square(sl2)", "square(sl3)", "transpose3", "square(sp4)"])
+def test_sampled_curves_p_matrix_matches_restricted_g_matrix(name):
+    pair = _curves(name)[0]
+    rng = random.Random(17)
+    built = 0
+    for _ in range(6):
+        curve = _sample_curve(pair, rng)
+        if curve is None:
+            continue
+        for budget in (DEFAULT_BUDGET, 32):
+            p_matrix = curve.p_matrix(budget)
+            oracle = _restrict_to_p(pair, curve.matrices(budget)[0])
+            assert _states(p_matrix.entries) == _states(oracle.entries)
+            built += 1
+    assert built
