@@ -127,6 +127,18 @@ def test_jacobi_checked_at_construction():
         LieAlgebra(["a", "b", "c"], bad)
 
 
+def test_realization_with_swapped_matrices_is_rejected():
+    # e and f swapped: the realized commutator [f, e] = -h contradicts [e, f] = h
+    from reductions.liealg import LieAlgebra
+
+    g = sl(2)
+    e, f = g.labels.index("e12"), g.labels.index("e21")
+    mats = list(g.realization)
+    mats[e], mats[f] = mats[f], mats[e]
+    with pytest.raises(InternalCheckError, match="realization commutator mismatch"):
+        LieAlgebra(g.labels, g.table, realization=mats, cartan_indices=g.cartan_indices)
+
+
 # -- g2
 
 

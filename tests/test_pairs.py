@@ -170,3 +170,18 @@ def test_restricted_roots_sp4_square():
     assert len(data.roots) == 8
     assert len(data.positive) == 4
     assert dim_reduction_variety(pair) == 8
+
+
+def test_involution_that_is_not_an_automorphism_is_rejected():
+    # theta e = -e, theta f = f, theta h = h squares to the identity, but
+    # [theta e, theta f] = -h while theta [e, f] = theta h = h
+    from reductions.errors import InternalCheckError
+    from reductions.pairs import SymmetricPair
+
+    g = build_classical("sl", 2)
+    e, f = g.labels.index("e12"), g.labels.index("e21")
+    signs = [-1 if i == e else 1 for i in range(g.dim)]
+    theta = RationalMatrix([[signs[i] if i == j else 0 for j in range(g.dim)] for i in range(g.dim)])
+    cartan = g.subspace([g.basis_element(g.labels.index("h1"))])
+    with pytest.raises(InternalCheckError, match=rf"automorphism on basis pair \({e}, {f}\)"):
+        SymmetricPair(g, theta, cartan)
