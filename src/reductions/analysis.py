@@ -21,6 +21,7 @@ from .exact import (
     RationalMatrix,
     nullspace,
     rank,
+    shifted,
 )
 from .liealg import (
     Element,
@@ -150,9 +151,8 @@ def decomposition_signature(pair: SymmetricPair, x: Element) -> DecompositionSig
     nil = y - s
     eig = rational_eigenvalues(s) if not s.is_zero() else {Fraction(0): n}
     blocks = []
-    eye = RationalMatrix.identity(n)
     for lam, mult in eig.items():
-        basis = nullspace(s - eye * lam)
+        basis = nullspace(shifted(s, lam))
         if basis.rows != mult:
             raise InternalCheckError("semisimple part has a defective eigenspace")
         restricted = _restrict_to_invariant(nil, basis)
@@ -450,11 +450,10 @@ def _adjugate_coefficients(y: RationalMatrix) -> list[RationalMatrix]:
     """N_0..N_{n-1} with adj(λI - y) = Σ λ^{n-1-k} N_k, by the
     Faddeev-LeVerrier recursion N_0 = I, N_k = y·N_{k-1} + c_k·I, where
     c_k = -tr(y·N_{k-1})/k is the coefficient of λ^{n-k} in det(λI - y)."""
-    eye = RationalMatrix.identity(y.rows)
-    out = [eye]
+    out = [RationalMatrix.identity(y.rows)]
     for k in range(1, y.rows):
         prod = y * out[-1]
-        out.append(prod + eye * (-prod.trace() / k))
+        out.append(shifted(prod, prod.trace() / k))
     return out
 
 

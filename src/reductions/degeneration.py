@@ -35,6 +35,7 @@ from .exact import (
     DEFAULT_BUDGET,
     MAX_BUDGET,
     LaurentSeries,
+    LinearSolver,
     RationalMatrix,
     SeriesMatrix,
     _prepared,
@@ -659,9 +660,10 @@ def limit_plane(curve, plane, budget=None):
 
 def limit_computation(curve, plane, budget=None) -> LimitComputation:
     b = budget or (curve.budget if isinstance(curve, VectorCurve) else DEFAULT_BUDGET)
+    basis = plane.matrix if isinstance(plane, Plane) else plane
     while True:
         try:
-            return _limit_once(curve, plane, b)
+            return _limit_once(curve, plane, b, _moving_matrix(curve, basis, b))
         except PrecisionError:
             b *= 2
             if b > MAX_BUDGET:
@@ -670,10 +672,10 @@ def limit_computation(curve, plane, budget=None) -> LimitComputation:
                 )
 
 
-def _limit_once(curve, plane, budget) -> LimitComputation:
+def _limit_once(curve, plane, budget, moving: SeriesMatrix) -> LimitComputation:
+    """One limit at ``budget``, from the plane's moving matrix ``moving``."""
     basis = plane.matrix if isinstance(plane, Plane) else plane
     r = basis.rows
-    moving = _moving_matrix(curve, basis, budget)
     adapted = _adapted_basis(_flag_from_moving(moving, basis), plane)
     vectors = RationalMatrix._trusted(tuple(_combo_to_vector(c, basis) for c, _ in adapted))
     moved = _moving_matrix(curve, vectors, budget)
@@ -855,7 +857,9 @@ def rigidity_check(curve: GroupCurve, plane: Plane, budget=None) -> RigidityRepo
 
 def _rigidity_once(curve, plane, s_span, n_span, b) -> "RigidityReport":
     pair = plane.pair
-    comp = _limit_once(curve, plane, b)
+    basis = plane.matrix
+    moving = _moving_matrix(curve, basis, b)
+    comp = _limit_once(curve, plane, b, moving)
     limit = comp.plane
     if not is_anisotropic_subalgebra(limit):
         raise InternalCheckError("limit of an abelian plane is not abelian")
@@ -865,13 +869,12 @@ def _rigidity_once(curve, plane, s_span, n_span, b) -> "RigidityReport":
     limit_s_span, _ = semisimple_nilpotent_split(limit)
 
     cmat = curve.p_matrix(b)
-    basis = plane.matrix
     entries = []
     witness_pairs = []
 
     if comp.constant_frame_ok:
         # full bookkeeping through a basis split into pure types
-        adapted = magnitude_basis(curve, plane, split=[s_span, n_span], budget=b)
+        adapted = _adapted_basis(_flag_from_moving(moving, basis), plane, [s_span, n_span])
         semisimple_targets = []
         for combo, om in adapted:
             vec = _combo_to_vector(combo, basis)
@@ -907,7 +910,6 @@ def _rigidity_once(curve, plane, s_span, n_span, b) -> "RigidityReport":
             witness_pairs.append((source, target))
     else:
         # obstructed instance: certify the semisimple directions one by one
-        moving = _moving_matrix(curve, basis, b)
         for row in limit_s_span.basis.entries:
             target = Element(pair.g, row)
             source = _zero_order_witness(pair, moving, basis, target)
@@ -1264,12 +1266,10 @@ def companion_translate(pair, x: Element) -> Element:
         det = gmat.det()
         if det == 0:
             continue
-        from .pairs import _rational_inverse
-
         scaled = RationalMatrix(
             [[e / det if j == 0 else e for j, e in enumerate(row)] for row in gmat.entries]
         )
-        ginv = _rational_inverse(scaled)
+        ginv = LinearSolver(scaled).inverse()
         comp = ginv * y * scaled
         from .analysis import _antidiagonal_realization
 

@@ -172,9 +172,8 @@ class Polynomial:
         """Evaluate at a Fraction or a RationalMatrix (Horner)."""
         if isinstance(x, RationalMatrix):
             acc = RationalMatrix.zero(x.rows, x.cols)
-            eye = RationalMatrix.identity(x.rows)
             for c in reversed(self.coeffs):
-                acc = acc * x + eye * c
+                acc = shifted(acc * x, -c)
             return acc
         acc = _ZERO
         for c in reversed(self.coeffs):
@@ -400,6 +399,15 @@ class RationalMatrix:
         return f"RationalMatrix({[list(map(str, r)) for r in self.entries]})"
 
 
+def shifted(m: RationalMatrix, lam) -> RationalMatrix:
+    """m - lam·I, formed on the diagonal alone; m must be square."""
+    if m.rows != m.cols:
+        raise DomainError("shape mismatch")
+    return RationalMatrix._trusted(
+        tuple(row[:i] + (row[i] - lam,) + row[i + 1 :] for i, row in enumerate(m.entries))
+    )
+
+
 def _dot(u, v):
     acc = _ZERO
     for a, b in zip(u, v):
@@ -520,6 +528,15 @@ class LinearSolver:
         self.transform = RationalMatrix._trusted(tuple(row[matrix.cols :] for row in red.entries))
         self.pivots = [p for p in pivots if p < matrix.cols]
         self.rank = len(self.pivots)
+
+    def inverse(self) -> RationalMatrix:
+        """A^-1 of a square invertible A: the recorded transform, since the
+        elimination reduces A to the identity."""
+        if self.matrix.rows != self.matrix.cols:
+            raise DomainError("shape mismatch")
+        if self.rank < self.matrix.rows:
+            raise DomainError("matrix is singular")
+        return self.transform
 
     def solve(self, rhs):
         """One solution of A·x = rhs, or None when inconsistent."""

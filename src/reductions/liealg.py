@@ -33,6 +33,7 @@ from .exact import (
     nullspace,
     row_space,
     rref,
+    shifted,
     sum_row_spaces,
 )
 
@@ -86,18 +87,29 @@ class LieAlgebra:
     def _check_realization(self):
         if len(self.realization) != self.dim:
             raise DomainError("realization size mismatch")
-        size = self.realization[0].rows
         flat = RationalMatrix([list(m.vec()) for m in self.realization])
         if len(rref(flat)[1]) < self.dim:
             raise DomainError("realization is not faithful")
+        # each matrix by the nonzeros (b, v) of each row a, and as (a, b, v)
+        rows = [
+            [[(b, v) for b, v in enumerate(row) if v] for row in m.entries]
+            for m in self.realization
+        ]
+        nonzeros = [[(a, b, v) for a, row in enumerate(m) for b, v in row] for m in rows]
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                mi, mj = self.realization[i], self.realization[j]
-                comm = mi * mj - mj * mi
-                expected = RationalMatrix.zero(size, size)
-                for k, c in self._basis_bracket(i, j).items():
-                    expected = expected + self.realization[k] * c
-                if comm.entries != expected.entries:
+                # m_i m_j - m_j m_i - sum_k c_ij^k m_k, accumulated in one buffer
+                acc = {}
+                for x, y, sign in ((i, j, _ONE), (j, i, -_ONE)):
+                    right = rows[y]
+                    for a, b, v in nonzeros[x]:
+                        sv = sign * v
+                        for c, w in right[b]:
+                            acc[a, c] = acc.get((a, c), _ZERO) + sv * w
+                for k, c in self.table.get((i, j), {}).items():
+                    for a, b, v in nonzeros[k]:
+                        acc[a, b] = acc.get((a, b), _ZERO) - c * v
+                if any(acc.values()):
                     raise InternalCheckError(
                         f"realization commutator mismatch on basis pair ({i}, {j})"
                     )
@@ -745,7 +757,7 @@ def rational_eigenvalues(m: RationalMatrix) -> dict[Fraction, int]:
         for e in row:
             d = e.denominator
             den = den * d // _gcd_int(den, d)
-    scaled = m * den
+    scaled = m if den == 1 else m * den
     gersh = max(
         (sum(abs(e) for e in row) for row in scaled.entries), default=Fraction(0)
     )
@@ -756,14 +768,12 @@ def rational_eigenvalues(m: RationalMatrix) -> dict[Fraction, int]:
             "matrix has a minimal-polynomial factor with no rational root"
         )
     out = {}
-    n = m.rows
-    eye = RationalMatrix.identity(n)
     for lam, mult in roots.items():
-        shifted = scaled - eye * lam
-        power = shifted
+        shift = shifted(scaled, lam)
+        power = shift
         for _ in range(mult - 1):
-            power = power * shifted
+            power = power * shift
         out[Fraction(lam, den)] = nullspace(power).rows
-    if sum(out.values()) != n:
+    if sum(out.values()) != m.rows:
         raise InternalCheckError("eigenvalue multiplicities do not sum to the dimension")
     return out

@@ -20,7 +20,15 @@ from .errors import (
     IrrationalSpectrumError,
     SearchExhaustedError,
 )
-from .exact import RationalMatrix, is_squarefree, min_poly, nullspace, rat, rref
+from .exact import (
+    LinearSolver,
+    RationalMatrix,
+    is_squarefree,
+    min_poly,
+    nullspace,
+    rat,
+    shifted,
+)
 from .liealg import (
     Element,
     LieAlgebra,
@@ -46,12 +54,11 @@ class SymmetricPair:
         self.theta = theta
         self.name = name or "pair"
         self._roots = None
-        eye = RationalMatrix.identity(g.dim)
-        if (theta * theta).entries != eye.entries:
+        if (theta * theta).entries != RationalMatrix.identity(g.dim).entries:
             raise InternalCheckError("involution does not square to the identity")
         self._check_automorphism()
-        self.k = Subspace(g, nullspace(theta - eye))
-        self.p = Subspace(g, nullspace(theta + eye))
+        self.k = Subspace(g, nullspace(shifted(theta, 1)))
+        self.p = Subspace(g, nullspace(shifted(theta, -1)))
         if self.k.dim + self.p.dim != g.dim:
             raise InternalCheckError("eigenspaces of the involution do not fill the algebra")
         self.cartan = cartan
@@ -59,13 +66,30 @@ class SymmetricPair:
         self._check_cartan()
 
     def _check_automorphism(self):
-        g = self.g
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                lhs = self.theta.apply(g.bracket(g.basis_element(i), g.basis_element(j)).coords)
-                ti = Element(g, self.theta.apply(g.basis_element(i).coords))
-                tj = Element(g, self.theta.apply(g.basis_element(j).coords))
-                if tuple(lhs) != g.bracket(ti, tj).coords:
+        """theta[e_i, e_j] = [theta e_i, theta e_j] for every basis pair i < j,
+        summed over the nonzeros of the images and of the bracket table."""
+        table = self.g.table
+        # theta e_i: the nonzeros of column i
+        images = [[(r, v) for r, v in enumerate(col) if v] for col in zip(*self.theta.entries)]
+        for i, ti in enumerate(images):
+            for j in range(i + 1, len(images)):
+                tj = images[j]
+                acc = {}
+                for k, c in table.get((i, j), {}).items():
+                    for r, v in images[k]:
+                        acc[r] = acc.get(r, _ZERO) + c * v
+                for a, x in ti:
+                    for b, y in tj:
+                        if a < b:
+                            xy, bracket = -x * y, table.get((a, b))
+                        elif a > b:
+                            xy, bracket = x * y, table.get((b, a))
+                        else:
+                            continue
+                        if bracket:
+                            for r, c in bracket.items():
+                                acc[r] = acc.get(r, _ZERO) + xy * c
+                if any(acc.values()):
                     raise InternalCheckError(
                         f"involution is not an automorphism on basis pair ({i}, {j})"
                     )
@@ -298,11 +322,10 @@ def _scalar_action(g, a_el, space):
 
 def _weight_spaces(pair, a_els, coeffs, ad, eig) -> RestrictedRootData:
     g = pair.g
-    eye = RationalMatrix.identity(g.dim)
     g_alpha: dict[tuple, Subspace] = {}
     zero_space = None
     for lam, mult in sorted(eig.items()):
-        space = Subspace(g, nullspace(ad - eye * lam))
+        space = Subspace(g, nullspace(shifted(ad, lam)))
         if space.dim != mult:
             raise InternalCheckError("eigenspace dimension mismatch for a semisimple action")
         if lam == 0:
@@ -530,25 +553,9 @@ def cayley_orthogonal(n: int, antisym: RationalMatrix) -> tuple[RationalMatrix, 
     """(I + L)(I - L)^{-1} for antisymmetric L: an exact rational orthogonal
     matrix, with its inverse."""
     eye = RationalMatrix.identity(n)
-    fwd = _rational_inverse(eye - antisym)
-    q = (eye + antisym) * fwd
-    bwd = _rational_inverse(eye + antisym)
-    q_inv = (eye - antisym) * bwd
+    q = (eye + antisym) * LinearSolver(eye - antisym).inverse()
+    q_inv = (eye - antisym) * LinearSolver(eye + antisym).inverse()
     return q, q_inv
-
-
-def _rational_inverse(m: RationalMatrix) -> RationalMatrix:
-    n = m.rows
-    aug = RationalMatrix._trusted(
-        tuple(
-            row + tuple(_ONE if i == j else _ZERO for j in range(n))
-            for i, row in enumerate(m.entries)
-        )
-    )
-    red, pivots = rref(aug)
-    if list(pivots) != list(range(n)):
-        raise DomainError("matrix is singular")
-    return RationalMatrix._trusted(tuple(row[n:] for row in red.entries[:n]))
 
 
 def sample_k_automorphism(pair: SymmetricPair, rng) -> RationalMatrix:
@@ -598,11 +605,10 @@ def _k_nilpotent_bank(pair: SymmetricPair):
                 break
             candidate = []
             ok = True
-            eye = RationalMatrix.identity(g.dim)
             for lam in eig:
                 if lam == 0:
                     continue
-                space = Subspace(g, nullspace(ad - eye * lam)).intersect(pair.k)
+                space = Subspace(g, nullspace(shifted(ad, lam))).intersect(pair.k)
                 if space.dim == 0:
                     continue
                 for el in space.basis_elements():
