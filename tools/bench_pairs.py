@@ -23,7 +23,8 @@ and across sides the ratio of the medians, the number of pairs the change
 won, and whether the medians differ by more than the parent's IQR. Per
 layer, each ``<layer>.busy_s`` gets the median over the traced runs of each
 side; ``<layer>.calls`` and the counters keep every run's value, so that a
-change of work shows as a change of count.
+change of work shows as a change of count. Layers that no run calls are
+left out.
 """
 
 from __future__ import annotations
@@ -131,6 +132,12 @@ def end_to_end(workload, args, results, metrics):
 def per_layer(workload, args, results):
     ok = {side: [r for r, _, _ in results[side] if r is not None] for side in results}
     names = sorted({name for side in ok for r in ok[side] for name in r["metrics"]})
+    # layers the workload never calls, on either side, are left out
+    idle = {
+        name[: -len(".calls")] for name in names if name.endswith(".calls")
+        and not any(r["metrics"][name]["value"] for side in ok for r in ok[side])
+    }
+    names = [name for name in names if name.rsplit(".", 1)[0] not in idle]
     entry = {
         "workload": workload,
         "seed": args.seed,
