@@ -90,26 +90,25 @@ class LieAlgebra:
         flat = RationalMatrix([list(m.vec()) for m in self.realization])
         if len(rref(flat)[1]) < self.dim:
             raise DomainError("realization is not faithful")
-        # each matrix by the nonzeros (b, v) of each row a, and as (a, b, v)
-        rows = [
-            [[(b, v) for b, v in enumerate(row) if v] for row in m.entries]
+        # each matrix as its nonzeros (a, b, v)
+        nonzeros = [
+            [(a, b, v) for a, row in enumerate(m.entries) for b, v in enumerate(row) if v]
             for m in self.realization
         ]
-        nonzeros = [[(a, b, v) for a, row in enumerate(m) for b, v in row] for m in rows]
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                # m_i m_j - m_j m_i - sum_k c_ij^k m_k, accumulated in one buffer
-                acc = {}
-                for x, y, sign in ((i, j, _ONE), (j, i, -_ONE)):
-                    right = rows[y]
-                    for a, b, v in nonzeros[x]:
-                        sv = sign * v
-                        for c, w in right[b]:
-                            acc[a, c] = acc.get((a, c), _ZERO) + sv * w
+                mi, mj = self.realization[i], self.realization[j]
+                # m_i m_j - m_j m_i - sum_k c_ij^k m_k in one buffer, subtracting
+                # over the nonzeros of m_j m_i and of each m_k
+                comm = [list(row) for row in (mi * mj).entries]
+                for a, row in enumerate((mj * mi).entries):
+                    for b, v in enumerate(row):
+                        if v:
+                            comm[a][b] -= v
                 for k, c in self.table.get((i, j), {}).items():
                     for a, b, v in nonzeros[k]:
-                        acc[a, b] = acc.get((a, b), _ZERO) - c * v
-                if any(acc.values()):
+                        comm[a][b] -= c * v
+                if any(any(row) for row in comm):
                     raise InternalCheckError(
                         f"realization commutator mismatch on basis pair ({i}, {j})"
                     )
@@ -141,14 +140,22 @@ class LieAlgebra:
         if x.parent is not self or y.parent is not self:
             raise DomainError("bracket of elements with different parents")
         acc = [_ZERO] * self.dim
+        table = self.table
+        ys = [(j, yj) for j, yj in enumerate(y.coords) if yj]
         for i, xi in enumerate(x.coords):
             if xi == 0:
                 continue
-            for j, yj in enumerate(y.coords):
-                if yj == 0 or i == j:
+            for j, yj in ys:
+                # [e_i, e_j] is table[(i, j)] for i < j and -table[(j, i)] for i > j
+                if i < j:
+                    bracket, xy = table.get((i, j)), xi * yj
+                elif i > j:
+                    bracket, xy = table.get((j, i)), -xi * yj
+                else:
                     continue
-                for k, c in self._basis_bracket(i, j).items():
-                    acc[k] += xi * yj * c
+                if bracket:
+                    for k, c in bracket.items():
+                        acc[k] += xy * c
         return Element._trusted(self, tuple(acc))
 
     def ad(self, x: "Element") -> RationalMatrix:

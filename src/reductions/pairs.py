@@ -66,30 +66,20 @@ class SymmetricPair:
         self._check_cartan()
 
     def _check_automorphism(self):
-        """theta[e_i, e_j] = [theta e_i, theta e_j] for every basis pair i < j,
-        summed over the nonzeros of the images and of the bracket table."""
-        table = self.g.table
-        # theta e_i: the nonzeros of column i
-        images = [[(r, v) for r, v in enumerate(col) if v] for col in zip(*self.theta.entries)]
-        for i, ti in enumerate(images):
-            for j in range(i + 1, len(images)):
-                tj = images[j]
-                acc = {}
-                for k, c in table.get((i, j), {}).items():
-                    for r, v in images[k]:
-                        acc[r] = acc.get(r, _ZERO) + c * v
-                for a, x in ti:
-                    for b, y in tj:
-                        if a < b:
-                            xy, bracket = -x * y, table.get((a, b))
-                        elif a > b:
-                            xy, bracket = x * y, table.get((b, a))
-                        else:
-                            continue
-                        if bracket:
-                            for r, c in bracket.items():
-                                acc[r] = acc.get(r, _ZERO) + xy * c
-                if any(acc.values()):
+        """theta[e_i, e_j] = [theta e_i, theta e_j] for every basis pair i < j;
+        the left side is summed over the nonzeros of the bracket table and of
+        the images theta e_k."""
+        g = self.g
+        cols = list(zip(*self.theta.entries))
+        images = [Element._trusted(g, col) for col in cols]
+        sparse = [[(r, v) for r, v in enumerate(col) if v] for col in cols]
+        for i in range(g.dim):
+            for j in range(i + 1, g.dim):
+                lhs = [_ZERO] * g.dim
+                for k, c in g.table.get((i, j), {}).items():
+                    for r, v in sparse[k]:
+                        lhs[r] += c * v
+                if tuple(lhs) != g.bracket(images[i], images[j]).coords:
                     raise InternalCheckError(
                         f"involution is not an automorphism on basis pair ({i}, {j})"
                     )

@@ -1,7 +1,8 @@
 """The construction checks against the dense code they replace.
 
 ``SymmetricPair._check_automorphism`` and ``LieAlgebra._check_realization``
-run over the nonzeros of the structure table and of the matrices, and
+run over the nonzeros of the structure table and of the matrices,
+``LieAlgebra.bracket`` over the nonzeros of its right argument, and
 ``exact.shifted`` subtracts a scalar on the diagonal alone.  Each is run
 here next to the dense reference it replaced, kept verbatim below: the same
 verdict (the same first failing basis pair, the same message) on the
@@ -49,13 +50,26 @@ def dense_shift(m, lam):
     return m - eye * lam
 
 
+def dense_bracket(g, x, y):
+    acc = [Fraction(0)] * g.dim
+    for i, xi in enumerate(x.coords):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y.coords):
+            if yj == 0 or i == j:
+                continue
+            for k, c in g._basis_bracket(i, j).items():
+                acc[k] += xi * yj * c
+    return Element._trusted(g, tuple(acc))
+
+
 def dense_automorphism_verdict(g, theta):
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = theta.apply(g.bracket(g.basis_element(i), g.basis_element(j)).coords)
+            lhs = theta.apply(dense_bracket(g, g.basis_element(i), g.basis_element(j)).coords)
             ti = Element(g, theta.apply(g.basis_element(i).coords))
             tj = Element(g, theta.apply(g.basis_element(j).coords))
-            if tuple(lhs) != g.bracket(ti, tj).coords:
+            if tuple(lhs) != dense_bracket(g, ti, tj).coords:
                 return f"involution is not an automorphism on basis pair ({i}, {j})"
     return None
 
@@ -157,6 +171,31 @@ def test_shifted_rejects_non_square():
         dense_shift(m, 1)
     with pytest.raises(DomainError, match="shape mismatch"):
         shifted(m, 1)
+
+
+# -- the bracket
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("make", [lambda: build_classical("sl", 3), build_g2])
+def test_bracket_matches_dense_bracket(make, data):
+    g = make()
+    x, y = (
+        Element(g, [data.draw(st.one_of(st.just(0), entries)) for _ in range(g.dim)])
+        for _ in range(2)
+    )
+    assert g.bracket(x, y) == dense_bracket(g, x, y)
+    assert g.bracket(y, x) == dense_bracket(g, y, x)
+
+
+def test_bracket_of_basis_elements_matches_the_table():
+    # every ordered basis pair, so a dropped sign or a dropped term shows
+    g = build_g2()
+    for i in range(g.dim):
+        for j in range(g.dim):
+            got = g.bracket(g.basis_element(i), g.basis_element(j))
+            assert got == dense_bracket(g, g.basis_element(i), g.basis_element(j))
 
 
 # -- the automorphism check

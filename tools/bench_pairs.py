@@ -1,7 +1,7 @@
 """Record interleaved parent/change runs of the benchmark as a BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --parent REV --out BENCH_7.json \\
-        --note "what the change does" --pairs 10 --seed 42
+        --note "what the change does" --seed 42
 
 Both sides are exported from git into fresh directories (``git archive``
 of ``--parent`` and of HEAD), so each side runs its own committed files,
@@ -9,10 +9,11 @@ of ``--parent`` and of HEAD), so each side runs its own committed files,
 tree, unlike a ``git worktree``, leaves nothing registered in the
 repository when a run is interrupted.
 
-For every workload in ``--workloads`` it runs ``--pairs`` pairs of
+For every workload in ``--workloads`` it runs 10 pairs of
 ``perfbench/run.py --trace 0``, one run per side, the side that runs first
-alternating from pair to pair. For every workload in ``--traced`` it then
-runs ``--traced-pairs`` interleaved pairs with ``--trace 1``. The file is
+alternating from pair to pair; every run is as long as BENCHMARK.json's
+``run_seconds``. For every workload in ``--traced`` it then runs 2
+interleaved pairs with ``--trace 1``. The file is
 rewritten after each workload, so an interrupted recording keeps what it
 finished; ``--append`` adds to a file of the same two commits, say a second
 seed.
@@ -42,6 +43,8 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10  # the pairs a claimed gain is judged on
+TRACED_PAIRS = 2
 
 
 def export(rev, dest):
@@ -74,13 +77,13 @@ def run_once(tree, workload, seed, seconds, trace):
     return json.loads(lines[-1]), match.group(1) if match else "unknown", proc.returncode
 
 
-def interleaved(trees, workload, args, trace, pairs):
+def interleaved(trees, workload, seed, seconds, trace, pairs):
     """``pairs`` pairs of runs; per side the list of results."""
     out = {"parent": [], "change": []}
     for k in range(pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            res = run_once(trees[side], workload, args.seed, args.seconds, trace)
+            res = run_once(trees[side], workload, seed, seconds, trace)
             out[side].append(res)
             value = res[0] and res[0]["metrics"].get("ops_per_s", {}).get("value")
             print(f"  {workload} trace={trace} pair {k + 1}/{pairs} {side}: "
@@ -93,13 +96,13 @@ def summary(runs):
     return {"median": statistics.median(runs), "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": runs}
 
 
-def end_to_end(workload, args, results, metrics):
+def end_to_end(workload, seed, seconds, results, metrics):
     ok = {side: [r for r, _, _ in results[side] if r is not None] for side in results}
     entry = {
         "workload": workload,
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "pairs": args.pairs,
+        "seed": seed,
+        "seconds": seconds,
+        "pairs": PAIRS,
         "all_correct": all(
             r is not None and r["correct"] for side in results for r, _, _ in results[side]
         ),
@@ -107,7 +110,7 @@ def end_to_end(workload, args, results, metrics):
         "failed_ops": {side: sum(r["failed"] for r in ok[side]) for side in ok},
         "metrics": {},
     }
-    if any(len(ok[side]) < args.pairs for side in ok):
+    if any(len(ok[side]) < PAIRS for side in ok):
         return entry  # a run gave no result: no statistics over unequal sides
     for metric in metrics:
         name, better = metric["name"], metric["better"]
@@ -129,7 +132,7 @@ def end_to_end(workload, args, results, metrics):
     return entry
 
 
-def per_layer(workload, args, results):
+def per_layer(workload, seed, seconds, results):
     ok = {side: [r for r, _, _ in results[side] if r is not None] for side in results}
     names = sorted({name for side in ok for r in ok[side] for name in r["metrics"]})
     # layers the workload never calls, on either side, are left out
@@ -140,8 +143,8 @@ def per_layer(workload, args, results):
     names = [name for name in names if name.rsplit(".", 1)[0] not in idle]
     entry = {
         "workload": workload,
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": seed,
+        "seconds": seconds,
         "runs_per_side": {side: len(ok[side]) for side in ok},
         "busy_s": {},
         "calls": {},
@@ -176,11 +179,7 @@ def main(argv=None):
     parser.add_argument("--workloads", nargs="+", default=["structure", "quadric", "limits"])
     parser.add_argument("--traced", nargs="*", default=["structure"],
                         help="workloads that also get traced runs")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--traced-pairs", type=int, default=2)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--seconds", type=float,
-                        help="timed seconds per run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--append", action="store_true",
                         help="add the runs to --out, which must record the same two commits")
     args = parser.parse_args(argv)
@@ -191,15 +190,13 @@ def main(argv=None):
                 for side, rev in (("parent", args.parent), ("change", "HEAD"))}
         with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
             bench = json.load(fh)
-        metrics = bench["end_to_end"]
-        if args.seconds is None:
-            args.seconds = bench["run_seconds"]
+        metrics, seconds = bench["end_to_end"], bench["run_seconds"]
         record = {
             "change": args.note,
             "parent_commit": shas["parent"],
             "change_commit": shas["change"],
             "benchmark": "python3 perfbench/run.py --workload W --seed S --seconds "
-                         f"{args.seconds:g} --trace T, each tree's own perfbench/",
+                         f"{seconds:g} --trace T, each tree's own perfbench/",
             "machine": f"Python {platform.python_version()} on {platform.system()}, "
                        f"{os.cpu_count()} cores",
             "method": "interleaved pairs, the side that runs first alternating; quartiles by "
@@ -222,12 +219,12 @@ def main(argv=None):
                 fh.write("\n")
 
         for workload in args.workloads:
-            results = interleaved(trees, workload, args, 0, args.pairs)
-            record["end_to_end"].append(end_to_end(workload, args, results, metrics))
+            results = interleaved(trees, workload, args.seed, seconds, 0, PAIRS)
+            record["end_to_end"].append(end_to_end(workload, args.seed, seconds, results, metrics))
             write()
         for workload in args.traced:
-            results = interleaved(trees, workload, args, 1, args.traced_pairs)
-            record["per_layer"].append(per_layer(workload, args, results))
+            results = interleaved(trees, workload, args.seed, seconds, 1, TRACED_PAIRS)
+            record["per_layer"].append(per_layer(workload, args.seed, seconds, results))
             write()
     return 0
 
