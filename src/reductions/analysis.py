@@ -310,57 +310,36 @@ def _partitions(n):
 
 def signature_representative(pair: SymmetricPair, sig: DecompositionSignature) -> Element:
     """A canonical element of the class: distinct small eigenvalues per
-    block (shifted to trace zero) plus Jordan ones inside each block."""
+    block (shifted to trace zero) plus Jordan ones inside each block.
+
+    Block idx gets eigenvalue idx; when identical shifted eigenvalues merge
+    blocks, they are spread out to 3**idx."""
+    for eigenvalue in (Fraction, lambda idx: Fraction(3**idx)):
+        x = _block_representative(pair, sig, eigenvalue)
+        if decomposition_signature(pair, x) == sig:
+            return x
+    raise InternalCheckError("representative construction failed")
+
+
+def _block_representative(pair, sig, eigenvalue):
+    """The element whose left factor has eigenvalue(idx) on block idx,
+    shifted to trace zero, with Jordan ones inside each part."""
     n = _require_sl_square(pair)
     entries = [[_ZERO] * n for _ in range(n)]
     eigenvalues = []
     pos = 0
     for idx, (mult, part) in enumerate(sig.blocks):
-        lam = Fraction(idx)
-        eigenvalues.extend([lam] * mult)
+        eigenvalues.extend([eigenvalue(idx)] * mult)
         offset = pos
         for size in part:
             for i in range(size - 1):
                 entries[offset + i][offset + i + 1] = _ONE
             offset += size
         pos += mult
-    trace = sum(eigenvalues)
-    shift = trace / n
+    shift = sum(eigenvalues) / n
     for i in range(n):
         entries[i][i] = eigenvalues[i] - shift
-    left = RationalMatrix(entries)
-    big = _antidiagonal_realization(pair, left)
-    x = pair.g.from_realization(big)
-    got = decomposition_signature(pair, x)
-    if got != sig:
-        # identical shifted eigenvalues can merge blocks; spread them out
-        return _spread_representative(pair, sig)
-    return x
-
-
-def _spread_representative(pair, sig):
-    n = _require_sl_square(pair)
-    entries = [[_ZERO] * n for _ in range(n)]
-    eigenvalues = []
-    pos = 0
-    for idx, (mult, part) in enumerate(sig.blocks):
-        lam = Fraction(3**idx)
-        eigenvalues.extend([lam] * mult)
-        offset = pos
-        for size in part:
-            for i in range(size - 1):
-                entries[offset + i][offset + i + 1] = _ONE
-            offset += size
-        pos += mult
-    trace = sum(eigenvalues)
-    shift = trace / n
-    for i in range(n):
-        entries[i][i] = eigenvalues[i] - shift
-    big = _antidiagonal_realization(pair, RationalMatrix(entries))
-    x = pair.g.from_realization(big)
-    if decomposition_signature(pair, x) != sig:
-        raise InternalCheckError("representative construction failed")
-    return x
+    return pair.g.from_realization(_antidiagonal_realization(pair, RationalMatrix(entries)))
 
 
 def _antidiagonal_realization(pair, left: RationalMatrix) -> RationalMatrix:

@@ -53,7 +53,6 @@ from .planes import (
     Plane,
     PluckerVector,
     is_anisotropic_subalgebra,
-    is_cj_closed,
     semisimple_nilpotent_split,
 )
 
@@ -99,29 +98,14 @@ class MonomialCurve(VectorCurve):
         self.weights = tuple(int(w) for w in weights)
 
     def _build(self, budget):
-        fwd = SeriesMatrix(
-            [
-                [
-                    LaurentSeries.t_power(self.weights[i], 1, budget)
-                    if i == j
-                    else LaurentSeries.zero(budget)
-                    for j in range(self.dim)
-                ]
-                for i in range(self.dim)
-            ]
+        return tuple(
+            SeriesMatrix([
+                [LaurentSeries.t_power(sign * w) if i == j else LaurentSeries.zero()
+                 for j in range(self.dim)]
+                for i, w in enumerate(self.weights)
+            ])
+            for sign in (1, -1)
         )
-        bwd = SeriesMatrix(
-            [
-                [
-                    LaurentSeries.t_power(-self.weights[i], 1, budget)
-                    if i == j
-                    else LaurentSeries.zero(budget)
-                    for j in range(self.dim)
-                ]
-                for i in range(self.dim)
-            ]
-        )
-        return fwd, bwd
 
 
 class PolynomialCurve(VectorCurve):
@@ -134,15 +118,11 @@ class PolynomialCurve(VectorCurve):
         self.inverse_dicts = inverse_dicts
 
     def _build(self, budget):
-        fwd = SeriesMatrix(
-            [[_series_from_dict(d, budget) for d in row] for row in self.entry_dicts]
-        )
+        fwd = SeriesMatrix([[_series_from_dict(d) for d in row] for row in self.entry_dicts])
         if self.inverse_dicts is not None:
-            bwd = SeriesMatrix(
-                [[_series_from_dict(d, budget) for d in row] for row in self.inverse_dicts]
-            )
+            bwd = SeriesMatrix([[_series_from_dict(d) for d in row] for row in self.inverse_dicts])
         else:
-            bwd = fwd.inverse()
+            bwd = fwd.inverse(budget)
         return fwd, bwd
 
 
@@ -183,11 +163,6 @@ class GroupCurve(VectorCurve):
         return self._p_cache[b]
 
     def _build_p(self, budget):
-        if sum(move[0] == "cayley" for move in self.moves) > 1:
-            # the precision a product of inexact blocks tracks depends on the
-            # coordinates it is formed in: past one Cayley move the p-only product
-            # can know more terms (transpose3), so keep the g-level product's
-            return _restrict_to_p(self.pair, self.matrices(budget)[0])
         (mat,) = _compose(self.pair, self.moves, budget, self.pair.p.basis, inverse=False)
         if self.validate:
             oracle = _restrict_to_p(self.pair, self.matrices(budget)[0])
@@ -202,7 +177,7 @@ def _compose(pair, moves, budget, basis, inverse):
     spanning p or all of g), in the coordinates of those rows; with
     ``inverse`` also its inverse companion."""
     pivots = [next(j for j, c in enumerate(row) if c) for row in basis.entries]
-    fwd = bwd = SeriesMatrix.identity(basis.rows, budget)
+    fwd = bwd = SeriesMatrix.identity(basis.rows)
     for move in moves:
         mats = _move_matrices(pair, move, budget, basis, pivots, inverse)
         fwd = fwd * mats[0]
@@ -223,11 +198,11 @@ def _move_matrices(pair, move, budget, basis, pivots, inverse):
     if kind == "exp":
         _, y, exponent = move
         powers = _ad_powers(pair.g, y, basis, pivots)
-        return [_poly_exp(powers, exponent, budget, sign) for sign in signs]
+        return [_poly_exp(powers, exponent, sign) for sign in signs]
     if kind == "cayley":
         q, q_inv = _cayley_factors(pair.g, move[1], move[2], budget)
     else:
-        q, q_inv = _torus_factors(pair.g, move[1], budget)
+        q, q_inv = _torus_factors(pair.g, move[1])
     factors = ((q, q_inv), (q_inv, q))[: len(signs)]
     return [_conjugation_on_coords(pair.g, a, a_inv, basis, pivots) for a, a_inv in factors]
 
@@ -254,7 +229,7 @@ def _ad_powers(g, y: Element, basis, pivots):
     return powers
 
 
-def _poly_exp(powers, exponent, budget, sign):
+def _poly_exp(powers, exponent, sign):
     """Σ_k (sign·t^exponent)^k / k! · powers[k], with exact series entries."""
     n = powers[0].rows
     span = (len(powers) - 1) * exponent
@@ -267,37 +242,37 @@ def _poly_exp(powers, exponent, budget, sign):
                 if a:
                     cs = cells.setdefault((i, j), [_ZERO] * (abs(span) + 1))
                     cs[k * exponent - lo] += coef * a
-    zero = LaurentSeries.zero(budget)
+    zero = LaurentSeries.zero()
     return SeriesMatrix._trusted(tuple(
-        tuple([LaurentSeries._trusted(lo, cells[i, j], None, budget) if (i, j) in cells else zero
+        tuple([LaurentSeries._trusted(lo, cells[i, j], None) if (i, j) in cells else zero
                for j in range(n)])
         for i in range(n)
     ))
 
 
-def _series_from_dict(d, budget):
+def _series_from_dict(d):
     d = {k: v for k, v in d.items() if v != 0}
     if not d:
-        return LaurentSeries.zero(budget)
+        return LaurentSeries.zero()
     lo = min(d)
     hi = max(d)
-    return LaurentSeries(lo, [d.get(k, _ZERO) for k in range(lo, hi + 1)], None, budget)
+    return LaurentSeries(lo, [d.get(k, _ZERO) for k in range(lo, hi + 1)])
 
 
 def _cayley_factors(g, y: Element, exponent: int, budget):
-    """q = (I + t^e y)(I - t^e y)^{-1} and its inverse, on the realization."""
+    """q = (I + t^e y)(I - t^e y)^{-1} and its inverse, on the realization,
+    each inverse to ``budget`` terms."""
     scaled = SeriesMatrix([
-        [LaurentSeries.t_power(exponent, c, budget) if c else LaurentSeries.zero(budget)
-         for c in row]
+        [LaurentSeries.t_power(exponent, c) if c else LaurentSeries.zero() for c in row]
         for row in g.realize(y).entries
     ])
-    eye = SeriesMatrix.identity(scaled.rows, budget)
-    q = (eye + scaled) * (eye - scaled).inverse()
-    q_inv = (eye - scaled) * (eye + scaled).inverse()
+    eye = SeriesMatrix.identity(scaled.rows)
+    q = (eye + scaled) * (eye - scaled).inverse(budget)
+    q_inv = (eye - scaled) * (eye + scaled).inverse(budget)
     return q, q_inv
 
 
-def _torus_factors(g, weights, budget):
+def _torus_factors(g, weights):
     """diag(t^{w_i}) and its inverse, on the realization."""
     real_dim = g.realization[0].rows
     if len(weights) * 2 == real_dim:
@@ -306,7 +281,7 @@ def _torus_factors(g, weights, budget):
         raise DomainError("torus weights must match the realization size")
     return tuple(
         SeriesMatrix([
-            [LaurentSeries.t_power(sign * w, 1, budget) if i == j else LaurentSeries.zero(budget)
+            [LaurentSeries.t_power(sign * w) if i == j else LaurentSeries.zero()
              for j in range(real_dim)]
             for i, w in enumerate(weights)
         ])
@@ -326,11 +301,10 @@ def _conjugation_on_coords(g, q: SeriesMatrix, q_inv: SeriesMatrix, basis, pivot
     for row in basis.entries:
         img = q.mul_rational(g.realize(Element._trusted(g, row))) * q_inv
         rhs = [_prepared(e) for r in img.entries for e in r]
-        budget = rhs[0][0].budget
-        y = [_sum_of_scaled([(rhs[k], c) for k, c in r], budget) for r in transform]
+        y = [_sum_of_scaled([(rhs[k], c) for k, c in r]) for r in transform]
         if not all(s.is_zero() for s in y[solver.rank :]):
             raise InternalCheckError("conjugated matrix left the realized algebra")
-        x = [LaurentSeries.zero(budget) for _ in range(solver.matrix.cols)]
+        x = [LaurentSeries.zero() for _ in range(solver.matrix.cols)]
         for r, p in enumerate(solver.pivots):
             x[p] = y[r]
         cols.append(x)
@@ -348,7 +322,7 @@ def _coordinates_in(basis, pivots, images: SeriesMatrix) -> SeriesMatrix:
         col = [(row, b) for row, b in zip(rows, basis.column(k)) if b]
         for j, e in enumerate(images.entries[k]):
             terms = [(_prepared(e), -_ONE)] + [(row[j], b) for row, b in col]
-            if not _sum_of_scaled(terms, DEFAULT_BUDGET).is_zero():
+            if not _sum_of_scaled(terms).is_zero():
                 raise InternalCheckError("curve does not preserve p")
     return coords
 
@@ -394,7 +368,7 @@ def _series_bracket(g, xs, ys):
             prod = _prepared(xi * yj)
             for k, c in g._basis_bracket(i, j).items():
                 terms[k].append((prod, c))
-    return [_sum_of_scaled(t, DEFAULT_BUDGET) for t in terms]
+    return [_sum_of_scaled(t) for t in terms]
 
 
 def _restrict_to_p(pair, fwd: SeriesMatrix) -> SeriesMatrix:
@@ -659,17 +633,25 @@ def limit_plane(curve, plane, budget=None):
 
 
 def limit_computation(curve, plane, budget=None) -> LimitComputation:
-    b = budget or (curve.budget if isinstance(curve, VectorCurve) else DEFAULT_BUDGET)
     basis = plane.matrix if isinstance(plane, Plane) else plane
+    return _escalating(
+        lambda b: _limit_once(curve, plane, b, _moving_matrix(curve, basis, b)),
+        budget or (curve.budget if isinstance(curve, VectorCurve) else DEFAULT_BUDGET),
+        f"series budget ceiling {MAX_BUDGET} reached while computing a limit",
+    )
+
+
+def _escalating(compute, budget, message):
+    """``compute(b)`` from b = ``budget``, doubling b on each PrecisionError;
+    BudgetExceededError with ``message`` once b would pass MAX_BUDGET."""
+    b = budget
     while True:
         try:
-            return _limit_once(curve, plane, b, _moving_matrix(curve, basis, b))
+            return compute(b)
         except PrecisionError:
             b *= 2
             if b > MAX_BUDGET:
-                raise BudgetExceededError(
-                    f"series budget ceiling {MAX_BUDGET} reached while computing a limit"
-                )
+                raise BudgetExceededError(message)
 
 
 def _limit_once(curve, plane, budget, moving: SeriesMatrix) -> LimitComputation:
@@ -712,7 +694,7 @@ def _limit_once(curve, plane, budget, moving: SeriesMatrix) -> LimitComputation:
         if len(rref(frame_matrix)[1]) != r:
             raise InternalCheckError("tempered frame does not stay a frame at t = 0")
     else:
-        record, pivots = valuation_adapted_reduce(moving)
+        record, pivots = valuation_adapted_reduce(moving, budget)
         tempered = []
         for col, pival in enumerate(pivots):
             vec = [record.reduced.entries[i][col].coeff_at(pival) for i in range(moving.rows)]
@@ -770,7 +752,7 @@ def non_adapted_additivity_fails(curve, plane, budget=None) -> bool:
     Returns True when the control triggered, False when the flag is trivial
     (one jump) and there is nothing to test.
     """
-    b = budget or DEFAULT_BUDGET
+    b = budget or curve.budget
     basis = plane.matrix if isinstance(plane, Plane) else plane
     adapted = magnitude_basis(curve, plane, budget=b)
     omegas = [om for _, om in adapted]
@@ -845,14 +827,11 @@ def rigidity_check(curve: GroupCurve, plane: Plane, budget=None) -> RigidityRepo
     if not sub.contains_subspace(s_span):
         raise DomainError("plane is not closed under the Chevalley-Jordan split")
 
-    b = budget or curve.budget
-    while True:
-        try:
-            return _rigidity_once(curve, plane, s_span, n_span, b)
-        except PrecisionError:
-            b *= 2
-            if b > MAX_BUDGET:
-                raise BudgetExceededError("budget ceiling reached during rigidity check")
+    return _escalating(
+        lambda b: _rigidity_once(curve, plane, s_span, n_span, b),
+        budget or curve.budget,
+        "budget ceiling reached during rigidity check",
+    )
 
 
 def _rigidity_once(curve, plane, s_span, n_span, b) -> "RigidityReport":
@@ -863,10 +842,10 @@ def _rigidity_once(curve, plane, s_span, n_span, b) -> "RigidityReport":
     limit = comp.plane
     if not is_anisotropic_subalgebra(limit):
         raise InternalCheckError("limit of an abelian plane is not abelian")
-    closed = is_cj_closed(limit)
+    limit_s_span, _ = semisimple_nilpotent_split(limit)
+    closed = limit.to_subspace().contains_subspace(limit_s_span)
     if not closed:
         raise InternalCheckError("limit of a CJ-closed plane is not CJ-closed")
-    limit_s_span, _ = semisimple_nilpotent_split(limit)
 
     cmat = curve.p_matrix(b)
     entries = []
@@ -1083,17 +1062,14 @@ def _random_k_element(pair, rng):
 
 def tempered_element_limit(curve: GroupCurve, x: Element, budget=None):
     """Limit of the line through x: the tempered value of the moving vector."""
-    b = budget or curve.budget
     pair = curve.pair
-    while True:
-        try:
-            moved = curve.p_matrix(b).apply(pair.to_p_coords(x))
-            om = min_valuation(moved)
-            return pair.from_p_coords([s.coeff_at(om) for s in moved]), om
-        except PrecisionError:
-            b *= 2
-            if b > MAX_BUDGET:
-                raise BudgetExceededError("budget ceiling reached in an element limit")
+
+    def once(b):
+        moved = curve.p_matrix(b).apply(pair.to_p_coords(x))
+        om = min_valuation(moved)
+        return pair.from_p_coords([s.coeff_at(om) for s in moved]), om
+
+    return _escalating(once, budget or curve.budget, "budget ceiling reached in an element limit")
 
 
 class SubstitutedCurve(VectorCurve):
@@ -1111,27 +1087,18 @@ class SubstitutedCurve(VectorCurve):
         if hasattr(base, "pair"):
             self.pair = base.pair
 
-    def _unit(self, budget):
-        return LaurentSeries(0, [_ONE, *self.unit_coeffs], None, budget)
+    def _substituted(self, m: SeriesMatrix, budget) -> SeriesMatrix:
+        u = LaurentSeries(0, [_ONE, *self.unit_coeffs])
+        return SeriesMatrix([[e.substitute_scaled(u, budget) for e in row] for row in m.entries])
 
     def _build(self, budget):
         fwd, bwd = self.base.matrices(budget)
-        u = self._unit(budget)
-        sub = lambda m: SeriesMatrix(
-            [[e.substitute_scaled(u) for e in row] for row in m.entries]
-        )
-        return sub(fwd), sub(bwd)
+        return self._substituted(fwd, budget), self._substituted(bwd, budget)
 
     def p_matrix(self, budget=None):
         b = budget or self.budget
         if b not in self._p_cache:
-            u = self._unit(b)
-            base_p = (
-                self.base.p_matrix(b) if hasattr(self.base, "p_matrix") else self.base.matrix(b)
-            )
-            self._p_cache[b] = SeriesMatrix(
-                [[e.substitute_scaled(u) for e in row] for row in base_p.entries]
-            )
+            self._p_cache[b] = self._substituted(_acting_matrix(self.base, b), b)
         return self._p_cache[b]
 
 

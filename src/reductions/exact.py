@@ -13,8 +13,12 @@ four value types in this module:
 
 A truncated series knows the exponent below which its coefficients are
 reliable (``prec``); arithmetic propagates that bound instead of silently
-pretending full accuracy.  Reading past the bound raises ``PrecisionError``
-and callers retry with a doubled budget (see ``degeneration``).
+pretending full accuracy.  That is the only precision a series carries.  The
+operations that have to cut an infinite expansion short (``inverse``,
+``SeriesMatrix.inverse``, ``substitute_scaled``, ``valuation_adapted_reduce``)
+take the number of terms to keep as an explicit ``order``.  Reading past a
+bound raises ``PrecisionError`` and callers retry with a doubled order (see
+``degeneration``).
 
 Invariant: matrix entries, series coefficients and (in ``liealg``) element
 coordinates are always ``Fraction``, never ``int``, so that ``1 / x`` stays
@@ -31,9 +35,9 @@ Every linear combination of series (sums, products, matrix products,
 mat-vecs, minors, elimination updates) runs through one kernel:
 ``_sum_of_products`` (Σ a·b) and ``_sum_of_scaled`` (Σ s·c, c rational) take
 each series prepared once per call as an integer row and accumulate over one
-common denominator.  Each result equals in val, coeffs, prec and budget the
-fold ``acc = acc + a * b`` from ``LaurentSeries.zero(budget)`` it replaces;
-tests keep the folds as the reference.  The products with a rational matrix
+common denominator.  Each result equals in val, coeffs and prec the fold
+``acc = acc + a * b`` from ``LaurentSeries.zero()`` it replaces; tests keep
+the folds as the reference.  The products with a rational matrix
 or vector (``SeriesMatrix.mul_rational``, ``rmul_rational`` and ``apply``,
 the one series mat-vec) skip its zero entries.
 """
@@ -663,20 +667,20 @@ class LaurentSeries:
     valuation.
     """
 
-    __slots__ = ("val", "coeffs", "prec", "budget")
+    __slots__ = ("val", "coeffs", "prec")
 
-    def __init__(self, val, coeffs, prec=None, budget=DEFAULT_BUDGET):
-        self._normalize(val, [Fraction(c) for c in coeffs], prec, budget)
+    def __init__(self, val, coeffs, prec=None):
+        self._normalize(val, [Fraction(c) for c in coeffs], prec)
 
     @classmethod
-    def _trusted(cls, val, coeffs, prec, budget):
+    def _trusted(cls, val, coeffs, prec):
         """Series over ``coeffs``, a sequence of Fraction, trimmed and
         shifted exactly as the public constructor does."""
         s = object.__new__(cls)
-        s._normalize(val, coeffs, prec, budget)
+        s._normalize(val, coeffs, prec)
         return s
 
-    def _normalize(self, val, cs, prec, budget):
+    def _normalize(self, val, cs, prec):
         if prec is not None:
             cs = cs[: max(0, prec - val)]
         lo, hi = 0, len(cs)
@@ -691,21 +695,20 @@ class LaurentSeries:
             self.val = val + lo
             self.coeffs = tuple(cs[lo:hi])
         self.prec = prec
-        self.budget = budget
 
     # -- constructors
 
     @staticmethod
-    def constant(c, budget=DEFAULT_BUDGET):
-        return LaurentSeries(0, [c], None, budget)
+    def constant(c):
+        return LaurentSeries(0, [c])
 
     @staticmethod
-    def t_power(k, coeff=1, budget=DEFAULT_BUDGET):
-        return LaurentSeries(k, [coeff], None, budget)
+    def t_power(k, coeff=1):
+        return LaurentSeries(k, [coeff])
 
     @staticmethod
-    def zero(budget=DEFAULT_BUDGET):
-        return LaurentSeries(0, [], None, budget)
+    def zero():
+        return LaurentSeries(0, [])
 
     # -- predicates and accessors
 
@@ -747,46 +750,40 @@ class LaurentSeries:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = LaurentSeries.constant(other, self.budget)
-        return _sum_of_scaled(((_prepared(self), _ONE), (_prepared(other), _ONE)), self.budget)
+            other = LaurentSeries.constant(other)
+        return _sum_of_scaled(((_prepared(self), _ONE), (_prepared(other), _ONE)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries._trusted(self.val, [-c for c in self.coeffs], self.prec, self.budget)
+        return LaurentSeries._trusted(self.val, [-c for c in self.coeffs], self.prec)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = LaurentSeries.constant(other, self.budget)
+            other = LaurentSeries.constant(other)
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return LaurentSeries._trusted(
-                self.val, [c * other for c in self.coeffs], self.prec, self.budget
-            )
-        return _sum_of_products(
-            ((_prepared(self), _prepared(other)),), min(self.budget, other.budget)
-        )
+            return LaurentSeries._trusted(self.val, [c * other for c in self.coeffs], self.prec)
+        return _sum_of_products(((_prepared(self), _prepared(other)),))
 
     __rmul__ = __mul__
 
     def shift(self, k):
         """Multiply by t^k."""
         return LaurentSeries._trusted(
-            self.val + k,
-            self.coeffs,
-            None if self.prec is None else self.prec + k,
-            self.budget,
+            self.val + k, self.coeffs, None if self.prec is None else self.prec + k
         )
 
-    def inverse(self):
-        """Multiplicative inverse, computed to the truncation budget."""
+    def inverse(self, order=DEFAULT_BUDGET):
+        """Multiplicative inverse to ``order`` terms, fewer when the known
+        coefficients of the series support fewer."""
         if self.is_zero():
             if self.is_exact():
                 raise ZeroDivisionError("inverse of the zero series")
             raise PrecisionError("inverse of a zero-so-far series", needed=self.prec)
-        n = self.budget
+        n = order
         if self.prec is not None:
             n = min(n, self.prec - self.val)
         c0 = self.coeffs[0]
@@ -799,39 +796,32 @@ class LaurentSeries:
             out[k] = -acc * inv0
         exact_and_short = self.is_exact() and len(self.coeffs) == 1
         prec = None if exact_and_short else -self.val + n
-        return LaurentSeries._trusted(-self.val, out, prec, self.budget)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * Fraction(1, 1) / LaurentSeries.constant(other, self.budget)
-        return self * other.inverse()
+        return LaurentSeries._trusted(-self.val, out, prec)
 
     def truncate(self, prec):
         """Forget coefficients at exponents >= prec."""
         newp = prec if self.prec is None else min(prec, self.prec)
-        return LaurentSeries._trusted(self.val, self.coeffs, newp, self.budget)
+        return LaurentSeries._trusted(self.val, self.coeffs, newp)
 
-    def substitute_scaled(self, unit: "LaurentSeries"):
-        """Substitute t -> t * unit(t) for a unit series (val 0, nonzero c0)."""
+    def substitute_scaled(self, unit: "LaurentSeries", order=DEFAULT_BUDGET):
+        """Substitute t -> t * unit(t) for a unit series (val 0, nonzero c0);
+        negative powers of the unit use its inverse to ``order`` terms."""
         if unit.is_zero() or unit.valuation() != 0:
             raise DomainError("reparametrization must be by a unit series")
         if self.is_zero():
             return self
-        pow_cache = {0: LaurentSeries.constant(1, self.budget)}
+        pow_cache = {0: _EXACT_ONE}
 
         def upower(k):
             if k not in pow_cache:
                 if k > 0:
                     pow_cache[k] = upower(k - 1) * unit
                 else:
-                    pow_cache[k] = upower(k + 1) * unit.inverse()
+                    pow_cache[k] = upower(k + 1) * unit.inverse(order)
             return pow_cache[k]
 
         result = _sum_of_scaled(
-            [(_prepared(upower(k).shift(k)), c) for k, c in enumerate(self.coeffs, self.val) if c],
-            self.budget,
+            [(_prepared(upower(k).shift(k)), c) for k, c in enumerate(self.coeffs, self.val) if c]
         )
         if self.prec is not None:
             result = result.truncate(self.prec)
@@ -863,6 +853,9 @@ class LaurentSeries:
             body = " + ".join(parts)
         tail = "" if self.prec is None else f" + O(t^{self.prec})"
         return f"LaurentSeries({body}{tail})"
+
+
+_EXACT_ONE = LaurentSeries._trusted(0, (_ONE,), None)
 
 
 def series_valuation(s: LaurentSeries) -> int:
@@ -923,10 +916,11 @@ class SeriesMatrix:
         return m
 
     @staticmethod
-    def identity(n, budget=DEFAULT_BUDGET):
-        one = LaurentSeries.constant(1, budget)
-        zero = LaurentSeries.zero(budget)
-        return SeriesMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
+    def identity(n):
+        zero = LaurentSeries.zero()
+        return SeriesMatrix._trusted(
+            tuple(tuple(_EXACT_ONE if i == j else zero for j in range(n)) for i in range(n))
+        )
 
     def __mul__(self, other):
         if not isinstance(other, SeriesMatrix):
@@ -940,7 +934,7 @@ class SeriesMatrix:
                  for row in other.entries]
         return SeriesMatrix._trusted(tuple(
             tuple([
-                _sum_of_products([(a, right[k][j]) for k, a in row if right[k][j]], DEFAULT_BUDGET)
+                _sum_of_products([(a, right[k][j]) for k, a in row if right[k][j]])
                 for j in range(other.cols)
             ])
             for row in left
@@ -955,7 +949,7 @@ class SeriesMatrix:
         rows = [[_prepared(e) if k in used else None for k, e in enumerate(row)]
                 for row in self.entries]
         return SeriesMatrix._trusted(tuple(
-            tuple([_sum_of_scaled([(row[k], c) for k, c in col], DEFAULT_BUDGET) for col in cols])
+            tuple([_sum_of_scaled([(row[k], c) for k, c in col]) for col in cols])
             for row in rows
         ))
 
@@ -982,7 +976,7 @@ class SeriesMatrix:
             raise DomainError("shape mismatch")
         live = [(k, c) for k, c in enumerate(vector) if c]
         return tuple(
-            _sum_of_scaled([(_prepared(row[k]), c) for k, c in live], DEFAULT_BUDGET)
+            _sum_of_scaled([(_prepared(row[k]), c) for k, c in live])
             for row in self.entries
         )
 
@@ -1009,21 +1003,21 @@ class SeriesMatrix:
             sub = self.minor(rest, col_idx[:pos] + col_idx[pos + 1 :])
             pe = _prepared(e)
             pairs.append((_negated(pe) if pos % 2 else pe, _prepared(sub)))
-        return _sum_of_products(pairs, DEFAULT_BUDGET)
+        return _sum_of_products(pairs)
 
     def det(self) -> LaurentSeries:
         if self.rows != self.cols:
             raise DomainError("determinant of non-square matrix")
         return self.minor(tuple(range(self.rows)), tuple(range(self.cols)))
 
-    def inverse(self) -> "SeriesMatrix":
-        """Inverse by Gauss elimination with minimal-valuation pivoting."""
+    def inverse(self, order=DEFAULT_BUDGET) -> "SeriesMatrix":
+        """Inverse by Gauss elimination with minimal-valuation pivoting; each
+        pivot is inverted to ``order`` terms."""
         if self.rows != self.cols:
             raise DomainError("inverse of non-square matrix")
         n = self.rows
         eye = SeriesMatrix.identity(n).entries
         m = [list(row) + list(eye[i]) for i, row in enumerate(self.entries)]
-        unit = _unit_for(m)
         for c in range(n):
             piv, pv = None, None
             for r in range(c, n):
@@ -1037,13 +1031,13 @@ class SeriesMatrix:
             if piv is None:
                 raise RankDeficiencyError("matrix is singular over the series field")
             m[c], m[piv] = m[piv], m[c]
-            inv = _prepared(m[c][c].inverse())
-            m[c] = [_sum_of_products(((_prepared(e), inv),), unit[0].budget) for e in m[c]]
+            inv = _prepared(m[c][c].inverse(order))
+            m[c] = [_sum_of_products(((_prepared(e), inv),)) for e in m[c]]
             pivot_row = [_prepared(b) for b in m[c]]
             for r in range(n):
                 f = m[r][c]
                 if r != c and not (f.is_zero() and f.is_exact()):
-                    m[r] = _eliminate(m[r], f, pivot_row, unit)
+                    m[r] = _eliminate(m[r], f, pivot_row)
         return SeriesMatrix._trusted(tuple(tuple(row[n:]) for row in m))
 
     def __repr__(self):
@@ -1052,7 +1046,7 @@ class SeriesMatrix:
 
 def _prepared(s):
     """(s, (d, ints)) with ints = d * s.coeffs, the form the series kernels
-    take: values from the integer row, val, prec and budget from s."""
+    take: values from the integer row, val and prec from s."""
     return s, _integer_row(s.coeffs)
 
 
@@ -1061,36 +1055,30 @@ def _negated(prepared):
     return s, (d, [-x for x in ints])
 
 
-def _unit_for(rows):
-    """The exact series 1, prepared, with the largest budget in rows: as a
-    factor it leaves every budget as it is (budgets never rise)."""
-    top = max([e.budget for row in rows for e in row], default=DEFAULT_BUDGET)
-    return _prepared(LaurentSeries._trusted(0, (_ONE,), None, top))
+_PREPARED_ONE = _prepared(_EXACT_ONE)
 
 
-def _eliminate(row, f, pivot_row, unit):
+def _eliminate(row, f, pivot_row):
     """[a - f * b for a, b in zip(row, pivot_row)] with pivot_row prepared,
     each entry the sum of products a·1 + (-f)·b."""
     minus_f = _negated(_prepared(f))
     return [
-        _sum_of_products(((_prepared(a), unit), (minus_f, b)), unit[0].budget)
+        _sum_of_products(((_prepared(a), _PREPARED_ONE), (minus_f, b)))
         for a, b in zip(row, pivot_row)
     ]
 
 
-def _sum_of_products(pairs, budget) -> LaurentSeries:
+def _sum_of_products(pairs) -> LaurentSeries:
     """Σ a·b over pairs of prepared series, on one common denominator.
 
-    Equal in val, coeffs, prec and budget to folding ``acc = acc + a * b``
-    from ``LaurentSeries.zero(budget)``: the budget is the least of all
-    budgets, and the precision the least product precision, where each
-    factor's unknown tail is shifted by the other factor's valuation (a
-    zero series has val 0).
+    Equal in val, coeffs and prec to folding ``acc = acc + a * b`` from
+    ``LaurentSeries.zero()``: the precision is the least product precision,
+    where each factor's unknown tail is shifted by the other factor's
+    valuation (a zero series has val 0).
     """
     prec = None
     live = []
     for (a, (da, xs)), (b, (db, ys)) in pairs:
-        budget = min(budget, a.budget, b.budget)
         for p in (
             None if a.prec is None else a.prec + b.val,
             None if b.prec is None else b.prec + a.val,
@@ -1099,33 +1087,31 @@ def _sum_of_products(pairs, budget) -> LaurentSeries:
                 prec = p
         if xs and ys:
             live.append((a.val + b.val, da * db, xs, ys))
-    return _integer_sum(live, prec, budget)
+    return _integer_sum(live, prec)
 
 
-def _sum_of_scaled(terms, budget) -> LaurentSeries:
+def _sum_of_scaled(terms) -> LaurentSeries:
     """Σ s·c over terms (prepared series s, rational c), on one denominator.
 
-    Equal in val, coeffs, prec and budget to folding ``acc = acc + s * c``
-    from ``LaurentSeries.zero(budget)``: s·c keeps the budget and precision
-    of s, so every term counts toward both, c == 0 and zero s included.
+    Equal in val, coeffs and prec to folding ``acc = acc + s * c`` from
+    ``LaurentSeries.zero()``: s·c keeps the precision of s, so every term
+    counts toward it, c == 0 and zero s included.
     """
     prec = None
     live = []
     for (s, (d, xs)), c in terms:
-        if s.budget < budget:
-            budget = s.budget
         if s.prec is not None and (prec is None or s.prec < prec):
             prec = s.prec
         if xs and c:
             live.append((s.val, d * c.denominator, xs, (c.numerator,)))
-    return _integer_sum(live, prec, budget)
+    return _integer_sum(live, prec)
 
 
-def _integer_sum(live, prec, budget) -> LaurentSeries:
+def _integer_sum(live, prec) -> LaurentSeries:
     """The series Σ t^v · (xs ⊛ ys) / d over live terms (v, d, xs, ys) of
     integer rows, truncated at prec."""
     if not live:
-        return LaurentSeries._trusted(0, (), prec, budget)
+        return LaurentSeries._trusted(0, (), prec)
     lo = min(v for v, _, _, _ in live)
     hi = max(v + len(xs) + len(ys) - 1 for v, _, xs, ys in live)
     if prec is not None:
@@ -1146,7 +1132,7 @@ def _integer_sum(live, prec, budget) -> LaurentSeries:
                         out[k] += x * y
                     k += 1
     return LaurentSeries._trusted(
-        lo, [Fraction(c, den) if c else _ZERO for c in out], prec, budget
+        lo, [Fraction(c, den) if c else _ZERO for c in out], prec
     )
 
 
@@ -1171,13 +1157,16 @@ class ColumnReduction:
         self.pivot_valuations = pivot_valuations
 
 
-def valuation_adapted_reduce(matrix: SeriesMatrix) -> tuple[ColumnReduction, list[int]]:
+def valuation_adapted_reduce(
+    matrix: SeriesMatrix, order=DEFAULT_BUDGET
+) -> tuple[ColumnReduction, list[int]]:
     """Column-reduce over the local ring, exposing the invariant-factor
     valuations of the column module inside the ambient free module.
 
     Pivots are chosen by lowest valuation, ties broken by lowest row index
-    (then lowest column index).  Requires full column rank over the series
-    field; rank deficiency and undecidable (tracked-zero) pivots are errors.
+    (then lowest column index), and inverted to ``order`` terms.  Requires
+    full column rank over the series field; rank deficiency and undecidable
+    (tracked-zero) pivots are errors.
     """
     work = [list(col) for col in zip(*matrix.entries)]  # list of columns
     ncols = len(work)
@@ -1186,7 +1175,6 @@ def valuation_adapted_reduce(matrix: SeriesMatrix) -> tuple[ColumnReduction, lis
         empty = SeriesMatrix.identity(0)
         return ColumnReduction(empty, matrix, [], []), []
     transform = [list(col) for col in zip(*SeriesMatrix.identity(ncols).entries)]
-    unit = _unit_for(work + transform)
     used_rows: set[int] = set()
     pivot_rows = []
     pivot_vals = []
@@ -1221,7 +1209,7 @@ def valuation_adapted_reduce(matrix: SeriesMatrix) -> tuple[ColumnReduction, lis
         if pcol != k:
             work[k], work[pcol] = work[pcol], work[k]
             transform[k], transform[pcol] = transform[pcol], transform[k]
-        pinv = work[k][prow].inverse()
+        pinv = work[k][prow].inverse(order)
         pivot_col = [_prepared(b) for b in work[k]]
         pivot_transform = [_prepared(b) for b in transform[k]]
         for j in range(ncols):
@@ -1231,8 +1219,8 @@ def valuation_adapted_reduce(matrix: SeriesMatrix) -> tuple[ColumnReduction, lis
             if e.is_zero() and e.is_exact():
                 continue
             q = e * pinv
-            work[j] = _eliminate(work[j], q, pivot_col, unit)
-            transform[j] = _eliminate(transform[j], q, pivot_transform, unit)
+            work[j] = _eliminate(work[j], q, pivot_col)
+            transform[j] = _eliminate(transform[j], q, pivot_transform)
         used_rows.add(prow)
         pivot_rows.append(prow)
         pivot_vals.append(v)

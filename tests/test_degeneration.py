@@ -393,6 +393,37 @@ def test_group_curve_obstruction_instances_still_agree_with_oracle():
     assert surfaced >= 0  # obstruction instances are legitimate when present
 
 
+def test_limit_needing_more_than_16_inverse_terms_resolves_after_one_escalation():
+    # square(sp4), exponents -8: the series-adapted frame inverts pivots of
+    # valuation -24, so 16 terms of their inverses cannot decide the module
+    # profile and the limit computation has to double its budget once
+    pair = square_of("sp4")
+    y1 = [rat(0)] * pair.g.dim
+    y1[1] = y1[11] = rat(-2)
+    y2 = [rat(0)] * pair.g.dim
+    y2[8] = y2[18] = rat(-1)
+    curve = curve_from_generators(
+        pair, [(pair.g.element(y1), -8), (pair.g.element(y2), -8)], validate=False
+    )
+    plane = plane_from_basis(pair, [[1, 0, 0, 0, 4, -2, 0, 0, 0, 0],
+                                    [0, 0, 0, 1, 0, -2, 0, 0, 0, 0]])
+    comp = limit_computation(curve, plane)
+    assert sorted(curve._p_cache) == [16, 32]  # the budgets tried
+    assert not comp.constant_frame_ok
+    assert comp.surfaced["module_profile"] == [-24, -8]
+    assert comp.surfaced["flag_profile"] == [-24, -16]
+
+
+def test_series_inverse_keeps_the_curve_budget():
+    # a curve built at budget 64 has p-matrix entries known to about t^63;
+    # inverting at order 64 must keep that, not fall back to 16 terms
+    pair = make_transpose_pair(3)
+    k0, k1, _ = pair.k.basis_elements()
+    curve = curve_from_cayley(pair, [(k0 + k1 * rat(2), -1)], budget=64, validate=False)
+    inverse = curve.p_matrix(64).inverse(64)
+    assert min(e.prec for row in inverse.entries for e in row) >= 60
+
+
 def test_transpose4_cayley_degeneration():
     pair = make_transpose_pair(4)
     L = pair.k.basis_elements()[2]

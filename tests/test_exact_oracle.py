@@ -4,7 +4,7 @@ The rational linear algebra (products, fraction-free elimination, the
 vector-lcm minimal polynomial) is checked against sympy, which serves as an
 oracle here and nowhere in the package.  The series products, which run
 over integer coefficients, are checked against the schoolbook fold they
-replace: equal val, coeffs, prec and budget.  And every entry that comes
+replace: equal val, coeffs and prec.  And every entry that comes
 out of an internal constructor must be a ``Fraction``: an ``int`` would
 compare and hash equal, yet turn ``1 / x`` into a float.
 """
@@ -31,7 +31,6 @@ from reductions.exact import (
     _prepared,
     _sum_of_products,
     _sum_of_scaled,
-    _unit_for,
     intersect_row_spaces,
     min_poly,
     nullspace,
@@ -260,12 +259,11 @@ def test_trusted_elements_hold_fractions():
     assert type(g.killing(x, y)) is Fraction
 
 
-# -- series products: same val, coeffs, prec and budget as the schoolbook fold
+# -- series products: same val, coeffs and prec as the schoolbook fold
 
 
 def _ref_mul(a, b):
     """The schoolbook product the integer path replaced."""
-    budget = min(a.budget, b.budget)
     precs = []
     if a.prec is not None:
         precs.append(a.prec + (b.val if not b.is_zero() else 0))
@@ -273,7 +271,7 @@ def _ref_mul(a, b):
         precs.append(b.prec + (a.val if not a.is_zero() else 0))
     prec = min(precs) if precs else None
     if a.is_zero() or b.is_zero():
-        return LaurentSeries(0, [], prec, budget)
+        return LaurentSeries(0, [], prec)
     val = a.val + b.val
     width = len(a.coeffs) + len(b.coeffs) - 1
     if prec is not None:
@@ -282,24 +280,23 @@ def _ref_mul(a, b):
     for i, x in enumerate(a.coeffs):
         for j in range(min(len(b.coeffs), width - i)):
             out[i + j] += x * b.coeffs[j]
-    return LaurentSeries(val, out, prec, budget)
+    return LaurentSeries(val, out, prec)
 
 
 def _ref_add(a, b):
     """The coefficient-by-coefficient sum the trusted path replaced."""
-    budget = min(a.budget, b.budget)
     ps = [p for p in (a.prec, b.prec) if p is not None]
     prec = min(ps) if ps else None
     live = [s for s in (a, b) if not s.is_zero()]
     if not live:
-        return LaurentSeries(0, [], prec, budget)
+        return LaurentSeries(0, [], prec)
     lo = min(s.val for s in live)
     hi = max(s.val + len(s.coeffs) for s in live)
     if prec is not None:
         hi = min(hi, prec)
     out = [sum((s.coeff_at(k) for s in live if s.val <= k < s.val + len(s.coeffs)), Fraction(0))
            for k in range(lo, hi)]
-    return LaurentSeries(lo, out, prec, budget)
+    return LaurentSeries(lo, out, prec)
 
 
 @st.composite
@@ -307,12 +304,11 @@ def series(draw):
     val = draw(st.integers(-3, 3))
     coeffs = draw(st.lists(st.one_of(st.just(0), small), max_size=6))
     prec = draw(st.one_of(st.none(), st.integers(val - 2, val + 8)))
-    budget = draw(st.sampled_from([4, 8, DEFAULT_BUDGET, 32]))
-    return LaurentSeries(val, coeffs, prec, budget)
+    return LaurentSeries(val, coeffs, prec)
 
 
 def _state(s):
-    return (s.val, s.coeffs, s.prec, s.budget, all(type(c) is Fraction for c in s.coeffs))
+    return (s.val, s.coeffs, s.prec, all(type(c) is Fraction for c in s.coeffs))
 
 
 @settings(max_examples=200, deadline=None)
@@ -320,9 +316,9 @@ def _state(s):
 def test_series_product_and_sum_match_reference(a, b):
     assert _state(a * b) == _state(_ref_mul(a, b))
     assert _state(a + b) == _state(_ref_add(a, b))
-    assert _state(-a) == _state(LaurentSeries(a.val, [-c for c in a.coeffs], a.prec, a.budget))
+    assert _state(-a) == _state(LaurentSeries(a.val, [-c for c in a.coeffs], a.prec))
     assert _state(a.shift(2)) == _state(
-        LaurentSeries(a.val + 2, a.coeffs, None if a.prec is None else a.prec + 2, a.budget)
+        LaurentSeries(a.val + 2, a.coeffs, None if a.prec is None else a.prec + 2)
     )
 
 
@@ -339,23 +335,23 @@ def test_series_matrix_product_matches_fold(rows):
     assert _state((left * right).entries[0][0]) == _state(acc)
 
 
-# -- series kernels and SeriesMatrix methods: same val, coeffs, prec and
-# budget as the ``acc = acc + ...`` folds they replaced, which are kept here
+# -- series kernels and SeriesMatrix methods: same val, coeffs and prec as
+# the ``acc = acc + ...`` folds they replaced, which are kept here
 
 
 def _exact_zero(s):
     return s.is_zero() and s.is_exact()
 
 
-def _ref_scaled_sum(terms, budget=DEFAULT_BUDGET):
-    acc = LaurentSeries.zero(budget)
+def _ref_scaled_sum(terms):
+    acc = LaurentSeries.zero()
     for s, c in terms:
-        acc = _ref_add(acc, LaurentSeries(s.val, [x * c for x in s.coeffs], s.prec, s.budget))
+        acc = _ref_add(acc, LaurentSeries(s.val, [x * c for x in s.coeffs], s.prec))
     return acc
 
 
-def _ref_product_sum(pairs, budget=DEFAULT_BUDGET):
-    acc = LaurentSeries.zero(budget)
+def _ref_product_sum(pairs):
+    acc = LaurentSeries.zero()
     for a, b in pairs:
         acc = _ref_add(acc, _ref_mul(a, b))
     return acc
@@ -405,7 +401,7 @@ def _ref_minor(rows, row_idx, col_idx):
     return acc
 
 
-def _ref_inverse(rows):
+def _ref_inverse(rows, order=DEFAULT_BUDGET):
     """Gauss elimination with minimal-valuation pivoting, row by row."""
     n = len(rows)
     eye = SeriesMatrix.identity(n).entries
@@ -423,7 +419,7 @@ def _ref_inverse(rows):
         if piv is None:
             raise RankDeficiencyError("matrix is singular over the series field")
         m[c], m[piv] = m[piv], m[c]
-        inv = m[c][c].inverse()
+        inv = m[c][c].inverse(order)
         m[c] = [_ref_mul(e, inv) for e in m[c]]
         for r in range(n):
             f = m[r][c]
@@ -434,17 +430,16 @@ def _ref_inverse(rows):
 
 @st.composite
 def kernel_series(draw):
-    """Series with negative valuations, exact and tracked zeros, budgets 8-32."""
-    budget = draw(st.sampled_from([8, DEFAULT_BUDGET, 32]))
+    """Series with negative valuations, exact and tracked zeros."""
     val = draw(st.integers(-3, 3))
     kind = draw(st.sampled_from(["series", "series", "series", "exact zero", "tracked zero"]))
     if kind == "exact zero":
-        return LaurentSeries(0, [], None, budget)
+        return LaurentSeries(0, [])
     if kind == "tracked zero":
-        return LaurentSeries(0, [], val + draw(st.integers(0, 6)), budget)
+        return LaurentSeries(0, [], val + draw(st.integers(0, 6)))
     coeffs = draw(st.lists(st.one_of(st.just(0), small), min_size=1, max_size=5))
     prec = draw(st.one_of(st.none(), st.integers(val, val + 8)))
-    return LaurentSeries(val, coeffs, prec, budget)
+    return LaurentSeries(val, coeffs, prec)
 
 
 def series_rows(draw, rows, cols):
@@ -459,20 +454,19 @@ def _states(rows):
 @given(
     terms=st.lists(st.tuples(kernel_series(), entries), max_size=5),
     pairs=st.lists(st.tuples(kernel_series(), kernel_series()), max_size=4),
-    budget=st.sampled_from([8, DEFAULT_BUDGET, 32]),
     update=st.tuples(
         kernel_series(), st.lists(st.tuples(kernel_series(), kernel_series()), max_size=3)
     ),
 )
-def test_kernels_match_folds(terms, pairs, budget, update):
-    scaled = _sum_of_scaled([(_prepared(s), c) for s, c in terms], budget)
-    assert _state(scaled) == _state(_ref_scaled_sum(terms, budget))
-    products = _sum_of_products([(_prepared(a), _prepared(b)) for a, b in pairs], budget)
-    assert _state(products) == _state(_ref_product_sum(pairs, budget))
+def test_kernels_match_folds(terms, pairs, update):
+    scaled = _sum_of_scaled([(_prepared(s), c) for s, c in terms])
+    assert _state(scaled) == _state(_ref_scaled_sum(terms))
+    products = _sum_of_products([(_prepared(a), _prepared(b)) for a, b in pairs])
+    assert _state(products) == _state(_ref_product_sum(pairs))
     # the elimination row update a - f * b
     f, row_pairs = update
     row, pivot_row = [a for a, _ in row_pairs], [b for _, b in row_pairs]
-    got = _eliminate(row, f, [_prepared(b) for b in pivot_row], _unit_for([row, pivot_row, [f]]))
+    got = _eliminate(row, f, [_prepared(b) for b in pivot_row])
     assert [_state(e) for e in got] == [
         _state(_ref_add(a, -_ref_mul(f, b))) for a, b in zip(row, pivot_row)
     ]
@@ -483,23 +477,23 @@ def test_kernels_match_folds(terms, pairs, budget, update):
     s=kernel_series(),
     tail=st.lists(small, max_size=3),
     unit_prec=st.one_of(st.none(), st.integers(1, 6)),
+    order=st.sampled_from([4, 8, DEFAULT_BUDGET, 32]),
 )
-def test_substitution_matches_fold(s, tail, unit_prec):
-    unit = LaurentSeries(0, [1, *tail], unit_prec, s.budget)
+def test_substitution_matches_fold(s, tail, unit_prec, order):
+    unit = LaurentSeries(0, [1, *tail], unit_prec)
     if s.is_zero():
         return
-    powers = {0: LaurentSeries.constant(1, s.budget)}
+    powers = {0: LaurentSeries.constant(1)}
     for k in range(1, abs(s.val) + len(s.coeffs) + 1):
         powers[k] = _ref_mul(powers[k - 1], unit)
-        powers[-k] = _ref_mul(powers[-k + 1], unit.inverse())
-    ref = LaurentSeries.zero(s.budget)
+        powers[-k] = _ref_mul(powers[-k + 1], unit.inverse(order))
+    ref = LaurentSeries.zero()
     for k, c in enumerate(s.coeffs, s.val):
         if c != 0:
-            moved = powers[k].shift(k)
-            ref = _ref_add(ref, _ref_scaled_sum([(moved, c)], moved.budget))
+            ref = _ref_add(ref, _ref_scaled_sum([(powers[k].shift(k), c)]))
     if s.prec is not None:
         ref = ref.truncate(s.prec)
-    assert _state(s.substitute_scaled(unit)) == _state(ref)
+    assert _state(s.substitute_scaled(unit, order)) == _state(ref)
 
 
 @settings(max_examples=100, deadline=None)
@@ -534,6 +528,7 @@ def _outcome(fn, *args):
 @given(data=st.data())
 def test_minor_and_inverse_match_folds(data):
     n = data.draw(st.integers(1, 3))
+    order = data.draw(st.sampled_from([4, 8, DEFAULT_BUDGET, 32]))
     rows = series_rows(data.draw, n, n)
     m = SeriesMatrix(rows)
     for k in range(n + 1):
@@ -541,8 +536,8 @@ def test_minor_and_inverse_match_folds(data):
             for col_idx in itertools.combinations(range(n), k):
                 ref = _ref_minor(rows, row_idx, col_idx)
                 assert _state(m.minor(row_idx, col_idx)) == _state(ref)
-    kind, got = _outcome(SeriesMatrix.inverse, m)
-    ref_kind, ref = _outcome(_ref_inverse, rows)
+    kind, got = _outcome(SeriesMatrix.inverse, m, order)
+    ref_kind, ref = _outcome(_ref_inverse, rows, order)
     assert kind == ref_kind
     assert _states(got.entries) == _states(ref) if kind == "value" else got is ref
 
@@ -551,7 +546,7 @@ def test_minor_and_inverse_match_folds(data):
 # series products, conjugated through the realization and restricted to p.
 
 
-def _ref_poly_exp(powers, exponent, budget, sign):
+def _ref_poly_exp(powers, exponent, sign):
     n = powers[0].rows
     entries = [[{} for _ in range(n)] for _ in range(n)]
     for k, mat in enumerate(powers):
@@ -570,7 +565,7 @@ def _ref_poly_exp(powers, exponent, budget, sign):
             d = {e: v for e, v in d.items() if v != 0}
             lo = min(d, default=0)
             coeffs = [d.get(e, 0) for e in range(lo, max(d, default=-1) + 1)]
-            out[-1].append(LaurentSeries(lo, coeffs, None, budget))
+            out[-1].append(LaurentSeries(lo, coeffs))
     return out
 
 
@@ -579,7 +574,7 @@ def _ref_exp_move(pair, y, exponent, budget):
     powers = [RationalMatrix.identity(pair.g.dim)]
     while not powers[-1].is_zero():
         powers.append(powers[-1] * ad)
-    return (_ref_poly_exp(powers, exponent, budget, 1), _ref_poly_exp(powers, exponent, budget, -1))
+    return (_ref_poly_exp(powers, exponent, 1), _ref_poly_exp(powers, exponent, -1))
 
 
 def _ref_conjugation(pair, q, q_inv):
@@ -588,14 +583,14 @@ def _ref_conjugation(pair, q, q_inv):
     solver = g._realization_solver
     cols = []
     for rho in g.realization:
-        lifted = [[LaurentSeries.constant(c, q[0][0].budget) for c in row] for row in rho.entries]
+        lifted = [[LaurentSeries.constant(c) for c in row] for row in rho.entries]
         rhs = [e for row in _ref_matmul(_ref_matmul(q, lifted), q_inv) for e in row]
         y = [
-            _ref_scaled_sum([(b, c) for c, b in zip(row, rhs) if c != 0], rhs[0].budget)
+            _ref_scaled_sum([(b, c) for c, b in zip(row, rhs) if c != 0])
             for row in solver.transform.entries
         ]
         assert all(s.is_zero() for s in y[solver.rank :])
-        x = [LaurentSeries.zero(rhs[0].budget) for _ in range(solver.matrix.cols)]
+        x = [LaurentSeries.zero() for _ in range(solver.matrix.cols)]
         for r, p in enumerate(solver.pivots):
             x[p] = y[r]
         cols.append(x)
@@ -608,15 +603,15 @@ def _ref_cayley_move(pair, y, exponent, budget):
     scaled = SeriesMatrix(
         [
             [
-                LaurentSeries.t_power(exponent, c, budget) if c != 0 else LaurentSeries.zero(budget)
+                LaurentSeries.t_power(exponent, c) if c != 0 else LaurentSeries.zero()
                 for c in row
             ]
             for row in real.entries
         ]
     )
-    eye = SeriesMatrix.identity(n, budget)
-    q = _ref_matmul((eye + scaled).entries, _ref_inverse((eye - scaled).entries))
-    q_inv = _ref_matmul((eye - scaled).entries, _ref_inverse((eye + scaled).entries))
+    eye = SeriesMatrix.identity(n)
+    q = _ref_matmul((eye + scaled).entries, _ref_inverse((eye - scaled).entries, budget))
+    q_inv = _ref_matmul((eye - scaled).entries, _ref_inverse((eye + scaled).entries, budget))
     return _ref_conjugation(pair, q, q_inv), _ref_conjugation(pair, q_inv, q)
 
 
@@ -626,7 +621,7 @@ def _ref_torus_move(pair, weights, budget):
 
     def diag(sign):
         return [
-            [LaurentSeries.t_power(sign * w, 1, budget) if i == j else LaurentSeries.zero(budget)
+            [LaurentSeries.t_power(sign * w) if i == j else LaurentSeries.zero()
              for j in range(n)]
             for i, w in enumerate(weights)
         ]
@@ -637,20 +632,27 @@ def _ref_torus_move(pair, weights, budget):
 _REF_MOVES = {"exp": _ref_exp_move, "cayley": _ref_cayley_move, "torus": _ref_torus_move}
 
 
-def _ref_curve(pair, moves, budget):
-    fwd = bwd = SeriesMatrix.identity(pair.g.dim, budget).entries
-    for kind, *args in moves:
-        mf, mb = _REF_MOVES[kind](pair, *args, budget)
-        fwd = _ref_matmul(fwd, mf)
-        bwd = _ref_matmul(mb, bwd)
+def _ref_restrict_to_p(pair, fwd):
     p_rows = pair.p.basis
     pivots = rref(p_rows)[1]
     images = [
         [_ref_scaled_sum([(e, c) for e, c in zip(frow, prow) if c != 0]) for frow in fwd]
         for prow in p_rows.entries
     ]
-    p_matrix = [[img[c] for img in images] for c in pivots]
-    return fwd, bwd, p_matrix
+    return [[img[c] for img in images] for c in pivots]
+
+
+def _ref_curve(pair, moves, budget):
+    """The g-level matrices, their restriction to p, and the product of the
+    moves' p-blocks."""
+    fwd = bwd = SeriesMatrix.identity(pair.g.dim).entries
+    p_blocks = SeriesMatrix.identity(pair.p.dim).entries
+    for kind, *args in moves:
+        mf, mb = _REF_MOVES[kind](pair, *args, budget)
+        fwd = _ref_matmul(fwd, mf)
+        bwd = _ref_matmul(mb, bwd)
+        p_blocks = _ref_matmul(p_blocks, _ref_restrict_to_p(pair, mf))
+    return fwd, bwd, _ref_restrict_to_p(pair, fwd), p_blocks
 
 
 # weights of a one-parameter subgroup of each square factor's torus
@@ -679,11 +681,15 @@ def _curves(name):
 @pytest.mark.parametrize("name", ["square(sl3)", "transpose3", "square(sl2)", "square(sp4)"])
 def test_curves_match_fold_built_curves(name, budget):
     # the p-matrix is built before any g-level read, so it comes from the
-    # p-only build (restricted from g only past one Cayley move)
+    # p-only build: the product of the moves' p-blocks.  Past one Cayley move
+    # the g-level product restricted to p tracks less precision, so there
+    # only the product of the fold-built p-blocks is the reference.
     pair, curves = _curves(name)
     assert len(curves[0]) == 2
     for moves in curves:
-        ref_fwd, ref_bwd, ref_p = _ref_curve(pair, moves, budget)
+        ref_fwd, ref_bwd, ref_restricted, ref_p = _ref_curve(pair, moves, budget)
+        if sum(kind == "cayley" for kind, *_ in moves) < 2:
+            assert _states(ref_p) == _states(ref_restricted)
         for validate in (False, True):
             curve = GroupCurve(pair, moves, budget, validate)
             assert _states(curve.p_matrix().entries) == _states(ref_p)
