@@ -116,7 +116,7 @@ def _pairs_structure():
 # samplers shared by several criteria
 
 
-def _sample_curve(pair, rng, budget=None) -> GroupCurve | None:
+def _sample_curve(pair, rng) -> GroupCurve | None:
     """A seeded degeneration arc in the pair's fixed group."""
     nils = k_nilpotent_elements(pair, rng, count=rng.choice([1, 1, 2]))
     if nils:
@@ -503,9 +503,12 @@ def criterion_7_subvarieties(seed, samples=12):
 
 
 def _curve_fixes_element(curve, el):
+    """Whether the curve fixes el: its matrix on g, which is the curve times
+    the scale w, takes el to w·el."""
     moved = curve.matrices()[0].apply(el.coords)
+    scale = curve.scale()
     for series, c in zip(moved, el.coords):
-        if not (series - c).is_zero():
+        if not (series - scale * c).is_zero():
             return False
     return True
 

@@ -296,7 +296,9 @@ def build_parser():
         "--budget",
         type=int,
         default=int(os.environ.get("REDUCTIONS_BUDGET", DEFAULT_BUDGET)),
-        help="series truncation budget (env REDUCTIONS_BUDGET)",
+        help="order the series inverses of `degenerate` start at, doubled on "
+        "demand up to 256; group curves are exact and do not depend on it, "
+        "and `verify` runs at 16 (env REDUCTIONS_BUDGET)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

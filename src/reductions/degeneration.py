@@ -1,7 +1,7 @@
 """Degeneration arcs and tempered moving frames.
 
 A curve is a one-parameter family of algebra automorphisms commuting with
-the involution, with entries in exact truncated Laurent series; the point at
+the involution, with entries in Laurent series over Q; the point at
 infinity is normalized to t = 0.  Moving a plane along a curve filters it by
 magnitude orders; a basis adapted to that flag has a tempered rescaling that
 extends to t = 0 and spans the limit plane.  Every limit is computed twice,
@@ -11,10 +11,12 @@ coordinates, and the two must agree exactly.
 Three exact move families generate the curves used here: exponentials of
 nilpotent adjoint actions with t-power weights, Cayley rotations for the
 orthogonal fixed groups, and weight-torus conjugations for Cartesian
-squares.  Each move commutes with the involution and so preserves p, where
-every moved plane lies: a group curve builds its p-matrix directly, move by
-move on the rows of p, and its matrices on all of g only lazily, for
-validation and for reads of g-level values.
+squares.  Their matrices are Laurent polynomials, built with no
+truncation, up to one scalar unit with constant term 1 per curve.  Each
+move commutes with the involution and so preserves p, where every moved
+plane lies: a group curve builds its p-matrix directly, move by move on the
+rows of p, and its matrices on all of g only lazily, for validation and for
+reads of g-level values.
 """
 
 from __future__ import annotations
@@ -30,8 +32,11 @@ from .errors import (
     InternalCheckError,
     IrrationalSpectrumError,
     PrecisionError,
+    RankDeficiencyError,
 )
+from .analysis import _adjugate_coefficients
 from .exact import (
+    _EXACT_ONE,
     DEFAULT_BUDGET,
     MAX_BUDGET,
     LaurentSeries,
@@ -130,16 +135,31 @@ class GroupCurve(VectorCurve):
     """Composite of exact moves in the fixed group of a symmetric pair.
 
     Moves are ('exp', element, exponent), ('cayley', element, exponent) or
-    ('torus', weights).  Every move commutes with the involution, so it
-    preserves p, and the p-matrix the limit machinery consumes is built
-    directly: each move is formed on the rows of p alone, in p coordinates,
-    and the dim p × dim p blocks are multiplied.  The same move builder on
-    the identity basis of g gives the matrices on all of g and their inverse
-    companion; those are built lazily, only where g-level values are read
-    (``matrices()``, ``magnitude_order`` of an Element, validation).  With
-    ``validate`` they are checked, to the truncation budget, to commute with
-    the involution, preserve the bracket and invert against their companion,
-    and the p-matrix is checked against their restriction to p.
+    ('torus', weights).  A curve in the fixed group is algebraic in t, and
+    its matrices are built exactly, with Laurent-polynomial entries (prec
+    None) and no truncation: exp moves are polynomial, torus moves monomial,
+    and a Cayley move (I + sY)(I - sY)^{-1}, s = t^e, is taken by Cramer's
+    rule as (I + sY)·adj(I - sY) over the leading term of det(I - sY).  That
+    multiplies the move by a scalar unit of Q[t] with constant term 1, so the
+    matrices are the curve times the product w of these units, ``scale()``
+    (w = 1 without Cayley moves).  A scalar unit with constant term 1 moves
+    no row space and changes no valuation and no leading coefficient, so
+    every limit, flag, frame and witness read from the matrices is the
+    curve's own.
+
+    Every move commutes with the involution, so it preserves p, and the
+    p-matrix the limit machinery consumes is built directly: each move is
+    formed on the rows of p alone, in p coordinates, and the dim p × dim p
+    blocks are multiplied.  The same move builder on the identity basis of g
+    gives the matrices on all of g and their inverse companion; those are
+    built lazily, only where g-level values are read (``matrices()``,
+    ``magnitude_order`` of an Element, validation).  With ``validate`` they
+    are checked exactly to commute with the involution, to preserve the
+    bracket up to the scale (w·fwd([x, y]) = [fwd x, fwd y]) and to invert
+    against their companion up to it (fwd·bwd = w²·I), and the p-matrix is
+    checked against their restriction to p.  Being exact, the matrices do
+    not depend on a budget: ``budget`` is only where the series inverses of
+    a limit start.
     """
 
     def __init__(self, pair: SymmetricPair, moves, budget=DEFAULT_BUDGET, validate=True):
@@ -147,48 +167,59 @@ class GroupCurve(VectorCurve):
         self.pair = pair
         self.moves = tuple(moves)
         self.validate = validate
-        self._p_cache = {}
+        self._g = None
+        self._p = None
+        self._scale = None
 
-    def _build(self, budget):
-        eye = RationalMatrix.identity(self.dim)
-        fwd, bwd = _compose(self.pair, self.moves, budget, eye, inverse=True)
-        if self.validate:
-            _validate_curve(self.pair, fwd, bwd)
-        return fwd, bwd
+    def matrices(self, budget=None):
+        """The curve on g and its inverse companion; ``budget`` is not read."""
+        if self._g is None:
+            eye = RationalMatrix.identity(self.dim)
+            fwd, bwd, self._scale = _compose(self.pair, self.moves, eye, inverse=True)
+            if self.validate:
+                _validate_curve(self.pair, fwd, bwd, self._scale)
+            self._g = fwd, bwd
+        return self._g
 
     def p_matrix(self, budget=None) -> SeriesMatrix:
-        b = budget or self.budget
-        if b not in self._p_cache:
-            self._p_cache[b] = self._build_p(b)
-        return self._p_cache[b]
+        """The curve on p, in the coordinates of p's rows; ``budget`` is not read."""
+        if self._p is None:
+            mat, self._scale = _compose(self.pair, self.moves, self.pair.p.basis, inverse=False)
+            if self.validate:
+                oracle = _restrict_to_p(self.pair, self.matrices()[0])
+                if not all((a - o).is_zero() for ra, ro in zip(mat.entries, oracle.entries)
+                           for a, o in zip(ra, ro)):
+                    raise InternalCheckError("p-matrix disagrees with the curve restricted to p")
+            self._p = mat
+        return self._p
 
-    def _build_p(self, budget):
-        (mat,) = _compose(self.pair, self.moves, budget, self.pair.p.basis, inverse=False)
-        if self.validate:
-            oracle = _restrict_to_p(self.pair, self.matrices(budget)[0])
-            if not all((a - o).is_zero() for ra, ro in zip(mat.entries, oracle.entries)
-                       for a, o in zip(ra, ro)):
-                raise InternalCheckError("p-matrix disagrees with the curve restricted to p")
-        return mat
+    def scale(self) -> LaurentSeries:
+        """w: the matrices of this curve are w times the curve itself."""
+        if self._scale is None:
+            self.p_matrix()
+        return self._scale
 
 
-def _compose(pair, moves, budget, basis, inverse):
+def _compose(pair, moves, basis, inverse):
     """The curve on the span of ``basis`` (rows in reduced echelon form,
-    spanning p or all of g), in the coordinates of those rows; with
-    ``inverse`` also its inverse companion."""
+    spanning p or all of g), in the coordinates of those rows, then with
+    ``inverse`` its inverse companion, then the scale both carry."""
     pivots = [next(j for j, c in enumerate(row) if c) for row in basis.entries]
     fwd = bwd = SeriesMatrix.identity(basis.rows)
+    scale = _EXACT_ONE
     for move in moves:
-        mats = _move_matrices(pair, move, budget, basis, pivots, inverse)
+        mats, unit = _move_matrices(pair, move, basis, pivots, inverse)
         fwd = fwd * mats[0]
         if inverse:
             bwd = mats[1] * bwd
-    return (fwd, bwd) if inverse else (fwd,)
+        scale = scale * unit
+    return (fwd, bwd, scale) if inverse else (fwd, scale)
 
 
-def _move_matrices(pair, move, budget, basis, pivots, inverse):
+def _move_matrices(pair, move, basis, pivots, inverse):
     """The move on the span of ``basis`` in the coordinates of its rows and,
-    with ``inverse``, the inverse move after it."""
+    with ``inverse``, the inverse move after it; then the scalar unit both
+    are multiplied by."""
     kind = move[0]
     if kind not in ("exp", "cayley", "torus"):
         raise DomainError(f"unknown curve move {kind!r}")
@@ -198,31 +229,39 @@ def _move_matrices(pair, move, budget, basis, pivots, inverse):
     if kind == "exp":
         _, y, exponent = move
         powers = _ad_powers(pair.g, y, basis, pivots)
-        return [_poly_exp(powers, exponent, sign) for sign in signs]
+        return [_poly_exp(powers, exponent, sign) for sign in signs], _EXACT_ONE
+    unit = _EXACT_ONE
     if kind == "cayley":
-        q, q_inv = _cayley_factors(pair.g, move[1], move[2], budget)
+        (q, u), (q_inv, u_inv) = _cayley_factors(pair.g, move[1], move[2])
+        unit = u * u_inv  # q·x·q^{-1} comes out times both units
     else:
         q, q_inv = _torus_factors(pair.g, move[1])
     factors = ((q, q_inv), (q_inv, q))[: len(signs)]
-    return [_conjugation_on_coords(pair.g, a, a_inv, basis, pivots) for a, a_inv in factors]
+    return [_conjugation_on_coords(pair.g, a, a_inv, basis, pivots) for a, a_inv in factors], unit
 
 
 def _ad_powers(g, y: Element, basis, pivots):
     """Powers of ad(y) on the span of ``basis`` in its coordinates, up to the
-    first zero power.  Nilpotency is checked on all of g."""
-    ad = g.ad(y)
-    power = ad
-    for _ in range(g.dim):
+    first zero power.  Nilpotency is checked on the realization: ρ(y)^n = 0
+    for the realization size n makes ad(y) nilpotent, ρ being faithful."""
+    real = g.realize(y)
+    power = real
+    for _ in range(real.rows):
         if power.is_zero():
             break
-        power = power * ad
+        power = power * real
     else:
         raise DomainError("curve generator does not act nilpotently")
-    columns = basis.transpose()
-    images = ad * columns  # column j: ad(y) applied to basis row j
-    block = RationalMatrix._trusted(tuple(images.entries[c] for c in pivots))
-    if columns * block != images:
+    # row j: [y, b_j] for basis row b_j, and its coordinates at the pivots
+    images = RationalMatrix._trusted(tuple(
+        g.bracket(y, Element._trusted(g, row)).coords for row in basis.entries
+    ))
+    coords = RationalMatrix._trusted(tuple(
+        tuple(row[c] for c in pivots) for row in images.entries
+    ))
+    if coords * basis != images:
         raise InternalCheckError("curve does not preserve p")
+    block = coords.transpose()
     powers = [RationalMatrix.identity(basis.rows)]
     while not powers[-1].is_zero():
         powers.append(powers[-1] * block)
@@ -231,12 +270,20 @@ def _ad_powers(g, y: Element, basis, pivots):
 
 def _poly_exp(powers, exponent, sign):
     """Σ_k (sign·t^exponent)^k / k! · powers[k], with exact series entries."""
-    n = powers[0].rows
-    span = (len(powers) - 1) * exponent
+    return _polynomial_matrix(
+        [(Fraction(sign**k, math.factorial(k)), mat) for k, mat in enumerate(powers)], exponent
+    )
+
+
+def _polynomial_matrix(terms, exponent, shift=0):
+    """Σ_k c_k · t^(k·exponent + shift) · m_k over ``terms`` [(c_0, m_0),
+    (c_1, m_1), ...] of rationals and equal-shape rational matrices, with
+    exact series entries."""
+    rows, cols = terms[0][1].rows, terms[0][1].cols
+    span = (len(terms) - 1) * exponent
     lo = min(0, span)
     cells = {}
-    for k, mat in enumerate(powers):
-        coef = Fraction(sign**k, math.factorial(k))
+    for k, (coef, mat) in enumerate(terms):
         for i, row in enumerate(mat.entries):
             for j, a in enumerate(row):
                 if a:
@@ -244,9 +291,9 @@ def _poly_exp(powers, exponent, sign):
                     cs[k * exponent - lo] += coef * a
     zero = LaurentSeries.zero()
     return SeriesMatrix._trusted(tuple(
-        tuple([LaurentSeries._trusted(lo, cells[i, j], None) if (i, j) in cells else zero
-               for j in range(n)])
-        for i in range(n)
+        tuple([LaurentSeries._trusted(lo + shift, cells[i, j], None) if (i, j) in cells else zero
+               for j in range(cols)])
+        for i in range(rows)
     ))
 
 
@@ -259,17 +306,38 @@ def _series_from_dict(d):
     return LaurentSeries(lo, [d.get(k, _ZERO) for k in range(lo, hi + 1)])
 
 
-def _cayley_factors(g, y: Element, exponent: int, budget):
-    """q = (I + t^e y)(I - t^e y)^{-1} and its inverse, on the realization,
-    each inverse to ``budget`` terms."""
-    scaled = SeriesMatrix([
-        [LaurentSeries.t_power(exponent, c) if c else LaurentSeries.zero() for c in row]
-        for row in g.realize(y).entries
-    ])
-    eye = SeriesMatrix.identity(scaled.rows)
-    q = (eye + scaled) * (eye - scaled).inverse(budget)
-    q_inv = (eye - scaled) * (eye + scaled).inverse(budget)
-    return q, q_inv
+def _cayley_factors(g, y: Element, exponent: int):
+    """The Cayley factor q = (I + sY)(I - sY)^{-1}, s = t^exponent, and its
+    inverse on the realization, exact, each times a scalar unit u of Q[t]
+    with constant term 1: ((u·q, u), (u'·q^{-1}, u')).
+
+    By Cramer's rule u·q = (I + sY)·adj(I - sY) / (lead(d)·t^val(d)) with
+    d = det(I - sY) and u = d / (lead(d)·t^val(d)); u'·q^{-1} and u' come
+    likewise from I + sY, that is from s -> -s.  The adjugate and the
+    determinant are polynomials in s with rational coefficients
+    (Faddeev-LeVerrier): adj(I - sY) = Σ s^k N_k and det(I - sY) = Σ c_k s^k.
+    """
+    real = g.realize(y)
+    n = real.rows
+    adj = _adjugate_coefficients(real)
+    moved = [real * m for m in adj]  # Y·N_k
+    # (I + sY)·adj(I - sY) = Σ_k s^k (N_k + Y·N_{k-1}), N_n = 0
+    num = [adj[0]] + [adj[k] + moved[k - 1] for k in range(1, n)] + [moved[n - 1]]
+    dets = [_ONE] + [-moved[k - 1].trace() / k for k in range(1, n + 1)]
+    out = []
+    for sign in (1, -1):
+        exps = {}
+        for k, c in enumerate(dets):
+            exps[k * exponent] = exps.get(k * exponent, _ZERO) + sign**k * c
+        d = _series_from_dict(exps)
+        if d.is_zero():
+            raise RankDeficiencyError("Cayley generator makes I - t^e·y or I + t^e·y singular")
+        lead = d.coeffs[0]
+        factor = _polynomial_matrix(
+            [(sign**k / lead, m) for k, m in enumerate(num)], exponent, -d.val
+        )
+        out.append((factor, d.shift(-d.val) * (1 / lead)))
+    return out
 
 
 def _torus_factors(g, weights):
@@ -327,15 +395,18 @@ def _coordinates_in(basis, pivots, images: SeriesMatrix) -> SeriesMatrix:
     return coords
 
 
-def _validate_curve(pair, fwd: SeriesMatrix, bwd: SeriesMatrix):
+def _validate_curve(pair, fwd: SeriesMatrix, bwd: SeriesMatrix, scale: LaurentSeries):
+    """Exact identities of a curve w·C on g with companion w·C^{-1}, w the
+    scale: fwd·bwd = w²·I, commutation with the involution, and
+    w·fwd([x, y]) = [fwd x, fwd y] on basis pairs."""
     g = pair.g
     n = g.dim
     prod = fwd * bwd
+    square = scale * scale
     for i in range(n):
         for j in range(n):
             e = prod.entries[i][j]
-            expected = _ONE if i == j else _ZERO
-            if e.coeff_at(0) != expected or not (e - expected).is_zero():
+            if not (e - square if i == j else e).is_zero():
                 raise InternalCheckError("curve and its companion are not inverse")
     lhs = fwd.rmul_rational(pair.theta)
     rhs = fwd.mul_rational(pair.theta)
@@ -353,7 +424,7 @@ def _validate_curve(pair, fwd: SeriesMatrix, bwd: SeriesMatrix):
         lhs_vec = fwd.apply(target.coords)
         rhs_vec = _series_bracket(g, cols[i], cols[j])
         for a, b in zip(lhs_vec, rhs_vec):
-            if not (a - b).is_zero():
+            if not (scale * a - b).is_zero():
                 raise InternalCheckError("curve does not preserve the bracket")
 
 

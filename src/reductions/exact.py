@@ -284,12 +284,13 @@ class RationalMatrix:
             raise DomainError("ragged matrix")
 
     @classmethod
-    def _trusted(cls, entries):
-        """Matrix over ``entries``, a tuple of equal-length tuples of Fraction."""
+    def _trusted(cls, entries, cols=0):
+        """Matrix over ``entries``, a tuple of equal-length tuples of Fraction;
+        ``cols`` is the width of a matrix with no rows."""
         m = object.__new__(cls)
         m.entries = entries
         m.rows = len(entries)
-        m.cols = len(entries[0]) if entries else 0
+        m.cols = len(entries[0]) if entries else cols
         return m
 
     @staticmethod
@@ -300,7 +301,7 @@ class RationalMatrix:
 
     @staticmethod
     def zero(r, c):
-        return RationalMatrix._trusted(((_ZERO,) * c,) * r)
+        return RationalMatrix._trusted(((_ZERO,) * c,) * r, c)
 
     def row(self, i):
         return self.entries[i]
@@ -321,19 +322,22 @@ class RationalMatrix:
             tuple(
                 tuple([a + b for a, b in zip(ra, rb)])
                 for ra, rb in zip(self.entries, other.entries)
-            )
+            ),
+            self.cols,
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return RationalMatrix._trusted(tuple(tuple([-a for a in row]) for row in self.entries))
+        return RationalMatrix._trusted(
+            tuple(tuple([-a for a in row]) for row in self.entries), self.cols
+        )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return RationalMatrix._trusted(
-                tuple(tuple([a * other for a in row]) for row in self.entries)
+                tuple(tuple([a * other for a in row]) for row in self.entries), self.cols
             )
         if self.cols != other.rows:
             raise DomainError("shape mismatch")
@@ -349,12 +353,14 @@ class RationalMatrix:
                     for j, b in sparse[k]:
                         acc[j] += a * b
             out.append(tuple(acc))
-        return RationalMatrix._trusted(tuple(out))
+        return RationalMatrix._trusted(tuple(out), width)
 
     __rmul__ = __mul__
 
     def transpose(self):
-        return RationalMatrix._trusted(tuple(zip(*self.entries))) if self.entries else self
+        if not self.rows:
+            return RationalMatrix._trusted(((),) * self.cols)
+        return RationalMatrix._trusted(tuple(zip(*self.entries)), self.rows)
 
     def trace(self):
         return sum(self.entries[i][i] for i in range(min(self.rows, self.cols)))
@@ -471,7 +477,7 @@ def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
         for row, c in zip(ints, pivots)
     ]
     out.extend([(_ZERO,) * matrix.cols] * (matrix.rows - len(out)))
-    return RationalMatrix._trusted(tuple(out)), tuple(pivots)
+    return RationalMatrix._trusted(tuple(out), matrix.cols), tuple(pivots)
 
 
 def row_space(matrix: RationalMatrix) -> RationalMatrix:
@@ -563,9 +569,7 @@ def in_row_space(matrix: RationalMatrix, vector) -> bool:
 def coordinates_in_row_space(matrix, vector):
     """Coefficients expressing vector over the rows of matrix, or None."""
     if matrix.rows == 0:
-        # a matrix with no rows keeps no width, so its transpose would pose
-        # no equations; its row space is {0}
-        return None if any(vector) else ()
+        return None if any(vector) else ()  # the row space is {0}
     return solve(matrix.transpose(), vector)
 
 

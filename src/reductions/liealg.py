@@ -644,15 +644,16 @@ def build_product(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
     if g1.realization is not None and g2.realization is not None:
         s1 = g1.realization[0].rows
         s2 = g2.realization[0].rows
-        realization = []
-        for m in g1.realization:
-            rows = [list(r) + [_ZERO] * s2 for r in m.entries]
-            rows += [[_ZERO] * (s1 + s2) for _ in range(s2)]
-            realization.append(RationalMatrix(rows))
-        for m in g2.realization:
-            rows = [[_ZERO] * (s1 + s2) for _ in range(s1)]
-            rows += [[_ZERO] * s1 + list(r) for r in m.entries]
-            realization.append(RationalMatrix(rows))
+        # the factors' rows are already tuples of Fraction: pad, don't coerce
+        pad1, pad2 = (_ZERO,) * s1, (_ZERO,) * s2
+        blank = (pad1 + pad2,)
+        realization = [
+            RationalMatrix._trusted(tuple(r + pad2 for r in m.entries) + blank * s2)
+            for m in g1.realization
+        ] + [
+            RationalMatrix._trusted(blank * s1 + tuple(pad1 + r for r in m.entries))
+            for m in g2.realization
+        ]
     cartan = None
     if g1.cartan_indices is not None and g2.cartan_indices is not None:
         cartan = tuple(g1.cartan_indices) + tuple(d1 + i for i in g2.cartan_indices)

@@ -331,3 +331,20 @@ def test_reduce_pivot_sum_matches_wedge_oracle_random():
         assert pivots == sorted(pivots)
         # the transform stays invertible over the local ring
         assert record.transform.det().valuation() == 0
+
+
+def test_zero_matrix_with_no_rows_keeps_its_width():
+    z = RationalMatrix.zero(0, 4)
+    assert (z.rows, z.cols) == (0, 4)
+    assert (z.transpose().rows, z.transpose().cols) == (4, 0)
+    assert ((-z).cols, (z + z).cols, (z * 3).cols) == (4, 4, 4)
+    assert (z * RationalMatrix.zero(4, 2)).cols == 2
+    assert rref(z)[0].cols == 4
+
+
+def test_nullspace_of_an_injective_matrix_is_empty_with_the_width():
+    m = RationalMatrix([[1, 0, 2], [0, 1, -1], [1, 1, 1], [2, 0, 0]])
+    kernel = nullspace(m)
+    assert (kernel.rows, kernel.cols) == (0, 3)
+    assert coordinates_in_row_space(kernel, [0, 0, 0]) == ()
+    assert coordinates_in_row_space(kernel, [1, 0, 0]) is None

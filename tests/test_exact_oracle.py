@@ -662,9 +662,9 @@ _TORUS = {"square(sl2)": (1, -1), "square(sl3)": (2, 0, -1), "square(sp4)": (1, 
 def _curves(name):
     """The pair called ``name`` and curves on it, the two-move curve first:
     each move family alone and two-move mixtures."""
-    if name == "transpose3":
-        pair = make_transpose_pair(3)
-        k0, k1, k2 = pair.k.basis_elements()
+    if name.startswith("transpose"):
+        pair = make_transpose_pair(int(name[len("transpose"):]))
+        k0, k1, k2 = pair.k.basis_elements()[:3]
         cayley = [("cayley", k0 + k1 * rat(2), -1), ("cayley", k2, -2)]
         return pair, [cayley, cayley[:1], cayley[1:]]
     pair = square_of(name[len("square("):-1])
@@ -677,13 +677,28 @@ def _curves(name):
                   [exp[0], torus], [cayley, torus]]
 
 
+def _assert_scaled_fold(scale, got, ref):
+    """``got`` is exact and w·ref - got is zero to the precision of the
+    fold-built ``ref``, for the curve's scale w."""
+    for got_row, ref_row in zip(got.entries, ref):
+        for a, b in zip(got_row, ref_row):
+            assert a.is_exact()
+            diff = scale * b - a
+            assert diff.is_zero() and diff.prec == b.prec
+
+
 @pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 32])
-@pytest.mark.parametrize("name", ["square(sl3)", "transpose3", "square(sl2)", "square(sp4)"])
+@pytest.mark.parametrize(
+    "name", ["square(sl3)", "transpose3", "square(sl2)", "square(sp4)", "transpose4"]
+)
 def test_curves_match_fold_built_curves(name, budget):
     # the p-matrix is built before any g-level read, so it comes from the
     # p-only build: the product of the moves' p-blocks.  Past one Cayley move
     # the g-level product restricted to p tracks less precision, so there
-    # only the product of the fold-built p-blocks is the reference.
+    # only the product of the fold-built p-blocks is the reference.  Exp and
+    # torus moves are built as the folds build them; a curve with a Cayley
+    # move is built exact as w times the curve, w its scale, and the folds
+    # truncate its inverses at the budget.
     pair, curves = _curves(name)
     assert len(curves[0]) == 2
     for moves in curves:
@@ -692,10 +707,18 @@ def test_curves_match_fold_built_curves(name, budget):
             assert _states(ref_p) == _states(ref_restricted)
         for validate in (False, True):
             curve = GroupCurve(pair, moves, budget, validate)
-            assert _states(curve.p_matrix().entries) == _states(ref_p)
+            p_matrix = curve.p_matrix()
             fwd, bwd = curve.matrices()
-            assert _states(fwd.entries) == _states(ref_fwd)
-            assert _states(bwd.entries) == _states(ref_bwd)
+            if any(kind == "cayley" for kind, *_ in moves):
+                scale = curve.scale()
+                assert scale.is_exact() and scale.val == 0 and scale.coeffs[0] == 1
+                for got, ref in ((p_matrix, ref_p), (fwd, ref_fwd), (bwd, ref_bwd)):
+                    _assert_scaled_fold(scale, got, ref)
+            else:
+                assert _state(curve.scale()) == _state(LaurentSeries.constant(1))
+                assert _states(p_matrix.entries) == _states(ref_p)
+                assert _states(fwd.entries) == _states(ref_fwd)
+                assert _states(bwd.entries) == _states(ref_bwd)
 
 
 @pytest.mark.parametrize("name", ["square(sl2)", "square(sl3)", "transpose3", "square(sp4)"])
@@ -713,3 +736,99 @@ def test_sampled_curves_p_matrix_matches_restricted_g_matrix(name):
             assert _states(p_matrix.entries) == _states(oracle.entries)
             built += 1
     assert built
+
+
+def _cofactor_cayley_factor(real, exponent, sign):
+    """(I + sign·sY)·adj(I - sign·sY) and det(I - sign·sY), s = t^exponent,
+    each divided by the determinant's leading term, the adjugate taken from
+    the cofactors: the Cramer's-rule factor and unit the curves use."""
+    n = real.rows
+    scaled = [[LaurentSeries.t_power(exponent, sign * c) if c else LaurentSeries.zero()
+               for c in row] for row in real.entries]
+    eye = SeriesMatrix.identity(n)
+    a = SeriesMatrix(eye.entries) - SeriesMatrix(scaled)
+    b = SeriesMatrix(eye.entries) + SeriesMatrix(scaled)
+    idx = tuple(range(n))
+    adj = [[a.minor(idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:]) * (-1) ** (i + j)
+            for j in range(n)] for i in range(n)]
+    d = a.det()
+    norm = LaurentSeries.t_power(-d.valuation(), 1 / d.leading())
+    return (b * SeriesMatrix(adj)) * norm, d * norm
+
+
+@pytest.mark.parametrize("name", ["transpose3", "transpose4", "square(sl3)"])
+def test_cayley_factors_follow_cramers_rule(name):
+    # the Faddeev-LeVerrier adjugate against the cofactor one: equal exact
+    # factors and units, each unit 1 + O(t), and u·q·(I - sY) = u·(I + sY)
+    from reductions.degeneration import _cayley_factors
+
+    pair = _curves(name)[0]
+    k_els = pair.k.basis_elements()
+    for y in (k_els[0] + k_els[-1] * rat(2), k_els[1], k_els[0] - k_els[1] * rat(1, 2)):
+        real = pair.g.realize(y)
+        for exponent in (-2, -1, 1):
+            for sign, (factor, unit) in zip((1, -1), _cayley_factors(pair.g, y, exponent)):
+                ref_factor, ref_unit = _cofactor_cayley_factor(real, exponent, sign)
+                assert _states(factor.entries) == _states(ref_factor.entries)
+                assert _state(unit) == _state(ref_unit)
+                assert unit.is_exact() and unit.val == 0 and unit.coeffs[0] == 1
+                scaled = SeriesMatrix([
+                    [LaurentSeries.t_power(exponent, sign * c) if c else LaurentSeries.zero()
+                     for c in row] for row in real.entries])
+                eye = SeriesMatrix.identity(real.rows)
+                lhs = factor * (eye - scaled)
+                rhs = (eye + scaled) * unit
+                assert all((x - z).is_zero() and x.is_exact()
+                           for rx, rz in zip(lhs.entries, rhs.entries) for x, z in zip(rx, rz))
+
+
+def _count_inverses(monkeypatch):
+    """Count the calls of every series inverse, of matrices and of series."""
+    calls = []
+    for cls in (SeriesMatrix, LaurentSeries):
+        original = cls.inverse
+
+        def counting(self, *args, _original=original, **kwargs):
+            calls.append(type(self).__name__)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "inverse", counting)
+    return calls
+
+
+def test_group_curve_builds_invert_no_series(monkeypatch):
+    # the benchmark's seed-42 limits pool, drawn by its own generator, and
+    # acceptance-sampled curves on its four pairs, built and validated
+    import os
+
+    from reductions.liealg import Element
+
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    monkeypatch.syspath_prepend(bench)
+    import gen
+
+    pool = gen.gen_limits(42, gen.UNITS["limits"])
+    calls = _count_inverses(monkeypatch)
+    kinds = set()
+    for op in pool:
+        pair = gen.build_pair(op["pair"])
+        spec = op["curve"]
+        moves = [(spec["kind"], Element(pair.g, [Fraction(c) for c in coords]), e)
+                 for coords, e in spec["gens"]]
+        kinds.add(spec["kind"])
+        curve = GroupCurve(pair, moves, validate=False)
+        assert all(e.is_exact() for row in curve.p_matrix().entries for e in row)
+    assert kinds == {"exp", "cayley"} and len(pool) == 4 * gen.UNITS["limits"]
+    for name in gen.LIMIT_PAIRS:
+        pair = gen.build_pair(name)
+        rng = random.Random(5)
+        for _ in range(3):
+            curve = _sample_curve(pair, rng)
+            if curve is None:
+                continue
+            for validate in (False, True):
+                built = GroupCurve(pair, curve.moves, validate=validate)
+                fwd, bwd = built.matrices()
+                for m in (built.p_matrix(), fwd, bwd):
+                    assert all(e.is_exact() for row in m.entries for e in row)
+    assert calls == []

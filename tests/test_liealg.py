@@ -277,3 +277,21 @@ def test_classify_mixed_spec_instance():
     g = sl(3)
     x = element_from_matrix(g, RationalMatrix([[1, 1, 0], [0, 1, 0], [0, 0, -2]]))
     assert classify_element(x) == "mixed"
+
+
+def test_product_realization_is_block_diagonal_and_exact():
+    # the blocks are padded from the factors' Fraction rows, not re-coerced
+    g1, g2 = sl(2), build_classical("sp", 4)
+    prod = build_product(g1, g2)
+    s1, s2 = g1.realization[0].rows, g2.realization[0].rows
+    for i, m in enumerate(prod.realization):
+        assert (m.rows, m.cols) == (s1 + s2, s1 + s2)
+        assert all(type(row) is tuple for row in m.entries)
+        assert all(type(c) is Fraction for row in m.entries for c in row)
+        left = i < g1.dim
+        block = g1.realization[i] if left else g2.realization[i - g1.dim]
+        lo = 0 if left else s1
+        expected = [[0] * (s1 + s2) for _ in range(s1 + s2)]
+        for r, row in enumerate(block.entries):
+            expected[lo + r][lo : lo + len(row)] = row
+        assert m == RationalMatrix(expected)
