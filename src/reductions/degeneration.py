@@ -141,11 +141,12 @@ class GroupCurve(VectorCurve):
     and a Cayley move (I + sY)(I - sY)^{-1}, s = t^e, is taken by Cramer's
     rule as (I + sY)·adj(I - sY) over the leading term of det(I - sY).  That
     multiplies the move by a scalar unit of Q[t] with constant term 1, so the
-    matrices are the curve times the product w of these units, ``scale()``
-    (w = 1 without Cayley moves).  A scalar unit with constant term 1 moves
-    no row space and changes no valuation and no leading coefficient, so
-    every limit, flag, frame and witness read from the matrices is the
-    curve's own.
+    exact p-matrix (``p_matrix()``) and the exact matrices on g
+    (``matrices()``) are the curve times the product w of these units,
+    ``scale()`` (w = 1 without Cayley moves).  A scalar unit with constant
+    term 1 moves no row space and changes no valuation and no leading
+    coefficient, so every limit, flag, frame and witness read from the
+    matrices is the curve's own.
 
     Every move commutes with the involution, so it preserves p, and the
     p-matrix the limit machinery consumes is built directly: each move is

@@ -235,6 +235,22 @@ def test_realization_nilpotency_check_agrees_with_ad_powers(name):
     assert (True in expected_kinds) == bool(nilpotent)
 
 
+def test_cayley_curve_fixes_exactly_what_commutes_with_its_generator():
+    # criterion 7's test: the curve's g-matrix is w times the curve, so a
+    # fixed element comes back times the scale w, which is not 1 here
+    from reductions.acceptance import _curve_fixes_element
+
+    pair = make_transpose_pair(3)
+    k0, k1, _ = pair.k.basis_elements()
+    y = k0 + k1 * rat(2)
+    curve = curve_from_cayley(pair, [(y, -1)], validate=False)
+    assert curve.scale().coeffs != (1,)
+    assert _curve_fixes_element(curve, y)
+    assert _curve_fixes_element(curve, y * rat(-3))
+    assert not pair.g.bracket(y, k0).is_zero()
+    assert not _curve_fixes_element(curve, k0)
+
+
 def test_p_only_build_checks_that_the_curve_preserves_p():
     # the same pair with p tilted into k: a subspace of the same dimension
     # that k does not preserve, which each p-only move builder must notice
