@@ -678,16 +678,18 @@ class LimitComputation:
     ``surfaced`` carries the instance data verbatim and the limit was
     computed through the series-adapted module frame instead.  Either way
     the result is cross-checked against the Plücker-valuation route.
+    ``flag`` is the magnitude flag of the plane the adapted basis came from.
     """
 
     def __init__(self, plane, basis_data, wedge_valuation, oracle_coords,
-                 constant_frame_ok=True, surfaced=None):
+                 constant_frame_ok=True, surfaced=None, flag=None):
         self.plane = plane
         self.basis_data = basis_data  # list of (combo, omega, tempered vector)
         self.wedge_valuation = wedge_valuation
         self.oracle_coords = oracle_coords
         self.constant_frame_ok = constant_frame_ok
         self.surfaced = surfaced
+        self.flag = flag
 
     def omegas(self):
         return [om for _, om, _ in self.basis_data]
@@ -730,7 +732,8 @@ def _limit_once(curve, plane, budget, moving: SeriesMatrix) -> LimitComputation:
     """One limit at ``budget``, from the plane's moving matrix ``moving``."""
     basis = plane.matrix if isinstance(plane, Plane) else plane
     r = basis.rows
-    adapted = _adapted_basis(_flag_from_moving(moving, basis), plane)
+    flag = _flag_from_moving(moving, basis)
+    adapted = _adapted_basis(flag, plane)
     vectors = RationalMatrix._trusted(tuple(_combo_to_vector(c, basis) for c, _ in adapted))
     moved = _moving_matrix(curve, vectors, budget)
 
@@ -802,7 +805,7 @@ def _limit_once(curve, plane, budget, moving: SeriesMatrix) -> LimitComputation:
             for (combo, om), vec in zip(adapted, tempered)
         ]
         return LimitComputation(
-            limit, basis_data, wedge_val, oracle, constant_frame_ok, surfaced
+            limit, basis_data, wedge_val, oracle, constant_frame_ok, surfaced, flag
         )
 
     limit_rows = row_space(frame_matrix)
@@ -813,7 +816,7 @@ def _limit_once(curve, plane, budget, moving: SeriesMatrix) -> LimitComputation:
         )
     basis_data = [(combo, om, vec) for (combo, om), vec in zip(adapted, tempered)]
     return LimitComputation(
-        limit_rows, basis_data, wedge_val, oracle, constant_frame_ok, surfaced
+        limit_rows, basis_data, wedge_val, oracle, constant_frame_ok, surfaced, flag
     )
 
 
@@ -925,7 +928,7 @@ def _rigidity_once(curve, plane, s_span, n_span, b) -> "RigidityReport":
 
     if comp.constant_frame_ok:
         # full bookkeeping through a basis split into pure types
-        adapted = _adapted_basis(_flag_from_moving(moving, basis), plane, [s_span, n_span])
+        adapted = _adapted_basis(comp.flag, plane, [s_span, n_span])
         semisimple_targets = []
         for combo, om in adapted:
             vec = _combo_to_vector(combo, basis)
@@ -1132,16 +1135,15 @@ def _random_k_element(pair, rng):
     return None if vec.is_zero() else vec
 
 
-def tempered_element_limit(curve: GroupCurve, x: Element, budget=None):
-    """Limit of the line through x: the tempered value of the moving vector."""
+def tempered_element_limit(curve: GroupCurve, x: Element):
+    """Limit of the line through x: the tempered value of the moving vector.
+
+    The p-matrix of a group curve is exact, so the valuation of the moved
+    vector is always decided and no budget is retried."""
     pair = curve.pair
-
-    def once(b):
-        moved = curve.p_matrix(b).apply(pair.to_p_coords(x))
-        om = min_valuation(moved)
-        return pair.from_p_coords([s.coeff_at(om) for s in moved]), om
-
-    return _escalating(once, budget or curve.budget, "budget ceiling reached in an element limit")
+    moved = curve.p_matrix().apply(pair.to_p_coords(x))
+    om = min_valuation(moved)
+    return pair.from_p_coords([s.coeff_at(om) for s in moved]), om
 
 
 class SubstitutedCurve(VectorCurve):
@@ -1213,7 +1215,7 @@ def class_closure_sample(pair, x: Element, samples=40, seed=0) -> ClassClosureRe
             try:
                 limit, _ = tempered_element_limit(curve, point)
                 reached.add(decomposition_signature(pair, limit))
-            except (BudgetExceededError, IrrationalSpectrumError):
+            except IrrationalSpectrumError:
                 continue
         reached.add(source_sig)  # the identity curve
         rounds.append(reached)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import (
     DomainError,
@@ -26,6 +27,7 @@ from .exact import (
     coordinates_in_row_space,
     in_row_space,
     _gcd_int,
+    _integer_row,
     integer_roots,
     intersect_row_spaces,
     is_squarefree,
@@ -47,6 +49,17 @@ class LieAlgebra:
     ``table[(i, j)]`` maps basis pair (i < j) to a sparse dict {k: c} with
     [e_i, e_j] = sum c * e_k.  ``realization`` is an optional list of matrices
     (one per basis vector) with commutators matching the table.
+
+    Brackets and realizations run over integers: at construction the table
+    is copied once as integer rows of both orders, (i, j) -> ((k, L·c), ...)
+    and (j, i) -> the negated entries, with L the least common denominator
+    of all structure constants; the first ``realize`` copies each
+    realization matrix as its integer nonzeros over one common denominator.  An argument is scaled once to
+    (den, integer nonzeros), the products accumulate as integers, and each
+    nonzero output coordinate is one ``Fraction`` over the product of the
+    denominators.  ``SymmetricPair.from_p_coords`` and ``centralizer_in``
+    combine integer rows (of p, of the subspace) the same way.  Results are
+    tuples of ``Fraction`` as before.
     """
 
     def __init__(self, labels, table, realization=None, cartan_indices=None, check=True):
@@ -58,6 +71,8 @@ class LieAlgebra:
         self._ad_cache: dict[int, RationalMatrix] = {}
         self._killing = None
         self._realization_solver = None
+        self._int_den, self._int_rows = _integer_table(self.dim, self.table)
+        self._int_realization = None  # built by the first realize
         if check:
             self._check_antisymmetry()
             self._check_jacobi()
@@ -139,24 +154,19 @@ class LieAlgebra:
     def bracket(self, x: "Element", y: "Element") -> "Element":
         if x.parent is not self or y.parent is not self:
             raise DomainError("bracket of elements with different parents")
-        acc = [_ZERO] * self.dim
-        table = self.table
-        ys = [(j, yj) for j, yj in enumerate(y.coords) if yj]
-        for i, xi in enumerate(x.coords):
-            if xi == 0:
-                continue
-            for j, yj in ys:
-                # [e_i, e_j] is table[(i, j)] for i < j and -table[(j, i)] for i > j
-                if i < j:
-                    bracket, xy = table.get((i, j)), xi * yj
-                elif i > j:
-                    bracket, xy = table.get((j, i)), -xi * yj
-                else:
-                    continue
-                if bracket:
-                    for k, c in bracket.items():
-                        acc[k] += xy * c
-        return Element._trusted(self, tuple(acc))
+        dx, xs = _scaled_nonzeros(x.coords)
+        dy, ys = _scaled_nonzeros(y.coords)
+        acc = [0] * self.dim
+        rows = self._int_rows
+        for i, a in xs:
+            row = rows[i]
+            for j, b in ys:
+                terms = row.get(j)
+                if terms:
+                    ab = a * b
+                    for k, c in terms:
+                        acc[k] += ab * c
+        return Element._trusted(self, _fractions(acc, dx * dy * self._int_den))
 
     def ad(self, x: "Element") -> RationalMatrix:
         """Matrix of ad(x) on the algebra's own basis (columns = images)."""
@@ -214,15 +224,16 @@ class LieAlgebra:
         if self.realization is None:
             raise DomainError("algebra has no matrix realization")
         size = self.realization[0].rows
-        acc = [[_ZERO] * size for _ in range(size)]
-        for i, c in enumerate(x.coords):
-            if c:
-                for r, row in enumerate(self.realization[i].entries):
-                    out = acc[r]
-                    for j, e in enumerate(row):
-                        if e:
-                            out[j] += c * e
-        return RationalMatrix._trusted(tuple(map(tuple, acc)))
+        if self._int_realization is None:
+            self._int_realization = _integer_matrices(self.realization)
+        rden, mats = self._int_realization
+        dx, xs = _scaled_nonzeros(x.coords)
+        acc = [0] * (size * size)
+        for i, a in xs:
+            for pos, e in mats[i]:
+                acc[pos] += a * e
+        flat = _fractions(acc, dx * rden)
+        return RationalMatrix._trusted(tuple(flat[r:r + size] for r in range(0, size * size, size)))
 
     def from_realization(self, mat: RationalMatrix) -> "Element":
         """Element whose realization is mat; error when mat is outside."""
@@ -245,6 +256,72 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim})"
+
+
+def _integer_table(dim, table):
+    """(L, rows): L the least common denominator of the structure constants
+    and rows[i][j] the terms (k, L·c) of [e_i, e_j], for both orders of
+    every basis pair i < j of the table."""
+    den = lcm(*(c.denominator for v in table.values() for c in v.values()))
+    rows = [{} for _ in range(dim)]
+    for (i, j), v in table.items():
+        if i < j:
+            terms = tuple((k, c.numerator * (den // c.denominator)) for k, c in v.items() if c)
+            if terms:
+                rows[i][j] = terms
+                rows[j][i] = tuple((k, -c) for k, c in terms)
+    return den, rows
+
+
+def _integer_matrices(mats):
+    """(L, per matrix its nonzeros (flat position, L·e)), L the least common
+    denominator of all entries."""
+    nonzeros = [
+        [(a * m.cols + b, e) for a, row in enumerate(m.entries) for b, e in enumerate(row) if e]
+        for m in mats
+    ]
+    den = lcm(*(e.denominator for nz in nonzeros for _, e in nz))
+    return den, [tuple((pos, e.numerator * (den // e.denominator)) for pos, e in nz) for nz in nonzeros]
+
+
+def _scaled_nonzeros(coords):
+    """(d, [(i, d·c_i) for every nonzero c_i]), d the least common
+    denominator of the nonzero coordinates."""
+    nz = [(i, c) for i, c in enumerate(coords) if c]
+    den = lcm(*[c.denominator for _, c in nz])
+    if den == 1:
+        return 1, [(i, c.numerator) for i, c in nz]
+    return den, [(i, c.numerator * (den // c.denominator)) for i, c in nz]
+
+
+def _integer_rows(rows):
+    """Each row as (d, integer nonzeros (i, d·row_i)), d its least common
+    denominator."""
+    out = []
+    for row in rows:
+        d, ints = _integer_row(row)
+        out.append((d, tuple((i, e) for i, e in enumerate(ints) if e)))
+    return out
+
+
+def _combination(coeffs, rows, dim):
+    """sum c_r·row_r as dim Fractions over one common denominator, for rows
+    in the form of ``_integer_rows``."""
+    terms = [(c, d, row) for c, (d, row) in zip(coeffs, rows) if c]
+    den = lcm(*[c.denominator * d for c, d, _ in terms])
+    acc = [0] * dim
+    for c, d, row in terms:
+        f = c.numerator * (den // (c.denominator * d))
+        for i, e in row:
+            acc[i] += f * e
+    return _fractions(acc, den)
+
+
+def _fractions(ints, den):
+    """The tuple of Fractions v / den for v in ints, zeros as Fraction(0)."""
+    if den == 1:
+        return tuple([Fraction(v) if v else _ZERO for v in ints])
+    return tuple([Fraction(v, den) if v else _ZERO for v in ints])
 
 
 class Element:
@@ -730,19 +807,14 @@ def centralizer_in(x: Element, v: Subspace) -> Subspace:
         raise DomainError("element and subspace live in different algebras")
     if v.dim == 0:
         return v
-    images = []
-    for row in v.basis.entries:
-        images.append(g.bracket(x, Element(g, row)).coords)
-    ker = nullspace(RationalMatrix(images).transpose())
-    rows = []
-    for combo in ker.entries:
-        vec = [_ZERO] * g.dim
-        for c, row in zip(combo, v.basis.entries):
-            if c != 0:
-                for i, e in enumerate(row):
-                    vec[i] += c * e
-        rows.append(vec)
-    return g.subspace(rows) if rows else Subspace(g, RationalMatrix.zero(0, g.dim))
+    images = tuple(g.bracket(x, Element._trusted(g, row)).coords for row in v.basis.entries)
+    ker = nullspace(RationalMatrix._trusted(images).transpose())
+    if not ker.rows:
+        return Subspace(g, RationalMatrix.zero(0, g.dim))
+    basis = _integer_rows(v.basis.entries)
+    return Subspace(g, RationalMatrix._trusted(
+        tuple(_combination(combo, basis, g.dim) for combo in ker.entries)
+    ))
 
 
 def centralizer_of_subspace(w: Subspace, v: Subspace) -> Subspace:

@@ -33,6 +33,8 @@ from .liealg import (
     Element,
     LieAlgebra,
     Subspace,
+    _combination,
+    _integer_rows,
     algebra_from_matrices,
     build_classical,
     build_product,
@@ -61,6 +63,7 @@ class SymmetricPair:
         self.p = Subspace(g, nullspace(shifted(theta, -1)))
         if self.k.dim + self.p.dim != g.dim:
             raise InternalCheckError("eigenspaces of the involution do not fill the algebra")
+        self._p_rows = _integer_rows(self.p.basis.entries)  # for from_p_coords
         self.cartan = cartan
         self.rank = cartan.dim
         self._check_cartan()
@@ -105,13 +108,7 @@ class SymmetricPair:
         return coords
 
     def from_p_coords(self, coords) -> Element:
-        vec = [_ZERO] * self.g.dim
-        for c, row in zip(coords, self.p.basis.entries):
-            if c:
-                for i, e in enumerate(row):
-                    if e:
-                        vec[i] += c * e
-        return Element(self.g, vec)
+        return Element._trusted(self.g, _combination(coords, self._p_rows, self.g.dim))
 
     def c_p(self, x: Element) -> Subspace:
         return centralizer_in(x, self.p)
@@ -475,7 +472,7 @@ def restrict_pair(pair: SymmetricPair, sub: Subspace, name="") -> tuple[Symmetri
     """
     g = pair.g
     basis = sub.basis
-    mats = [g.realize(Element(g, row)) for row in basis.entries]
+    mats = [g.realize(Element._trusted(g, row)) for row in basis.entries]
     labels = [f"s{i}" for i in range(basis.rows)]
     sub_alg = algebra_from_matrices(labels, mats, check=True)
     # involution in subalgebra coordinates

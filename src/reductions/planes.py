@@ -178,7 +178,7 @@ def semisimple_nilpotent_split(u: Plane) -> tuple[Subspace, Subspace]:
 
     g = u.pair.g
     smat = semisimple_part_matrix(u)
-    s_span = g.subspace([Element(g, row) for row in smat.entries if any(row)])
+    s_span = g.subspace([row for row in smat.entries if any(row)])
     basis_els = u.basis_elements()
     nil_rows = []
     for combo in nullspace(smat.transpose()).entries:

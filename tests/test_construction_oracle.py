@@ -2,8 +2,10 @@
 
 ``SymmetricPair._check_automorphism`` and ``LieAlgebra._check_realization``
 run over the nonzeros of the structure table and of the matrices,
-``LieAlgebra.bracket`` over the nonzeros of its right argument, and
-``exact.shifted`` subtracts a scalar on the diagonal alone.  Each is run
+``LieAlgebra.bracket``, ``LieAlgebra.realize``,
+``SymmetricPair.from_p_coords`` and ``centralizer_in`` over integer rows
+with one common denominator, and ``exact.shifted`` subtracts a scalar on the diagonal
+alone.  Each is run
 here next to the dense reference it replaced, kept verbatim below: the same
 verdict (the same first failing basis pair, the same message) on the
 criterion-2 pairs, on seeded involutions that are not automorphisms, on
@@ -18,8 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reductions.errors import DomainError, InternalCheckError
-from reductions.exact import LinearSolver, RationalMatrix, rat, rref, shifted
-from reductions.liealg import Element, LieAlgebra, build_classical, build_g2
+from reductions.exact import LinearSolver, RationalMatrix, nullspace, rat, rref, shifted
+from reductions.liealg import (
+    Element,
+    LieAlgebra,
+    Subspace,
+    algebra_from_matrices,
+    build_classical,
+    build_g2,
+    centralizer_in,
+)
 from reductions.pairs import (
     SymmetricPair,
     cayley_orthogonal,
@@ -42,6 +52,31 @@ def criterion2_pairs():
     ]
 
 
+def seven_pairs():
+    return criterion2_pairs() + [square_of("sl5")]
+
+
+def scaled_sl2():
+    """sl2 on the basis (e/2, f, h/3): structure constants 3/2 and ±2/3,
+    so that the integer table has a common denominator L = 6."""
+    e, f, h = build_classical("sl", 2).realization
+    return algebra_from_matrices(["e/2", "f", "h/3"], [e * Fraction(1, 2), f, h * Fraction(1, 3)])
+
+
+def scaled_sl2_pair():
+    """(sl2, so2) on the basis (e/2, f, h/3), theta(x) = -x^T: p is spanned
+    by (1, 1/2, 0) and h/3, so its rows are not integer rows."""
+    g = scaled_sl2()
+    theta = RationalMatrix([[0, -2, 0], [Fraction(-1, 2), 0, 0], [0, 0, -1]])
+    pair = SymmetricPair(g, theta, g.subspace([[0, 0, 1]]), name="scaled")
+    assert pair.p.basis.entries[0] == (1, Fraction(1, 2), 0)
+    return pair
+
+
+def all_fractions(coords):
+    return all(type(a) is Fraction for a in coords)
+
+
 # -- the dense references
 
 
@@ -61,6 +96,37 @@ def dense_bracket(g, x, y):
             for k, c in g._basis_bracket(i, j).items():
                 acc[k] += xi * yj * c
     return Element._trusted(g, tuple(acc))
+
+
+def dense_realize(g, x):
+    size = g.realization[0].rows
+    acc = [[Fraction(0)] * size for _ in range(size)]
+    for c, m in zip(x.coords, g.realization):
+        for r, row in enumerate(m.entries):
+            for j, e in enumerate(row):
+                acc[r][j] += c * e
+    return tuple(map(tuple, acc))
+
+
+def dense_from_p_coords(pair, coords):
+    acc = [Fraction(0)] * pair.g.dim
+    for c, row in zip(coords, pair.p.basis.entries):
+        for i, e in enumerate(row):
+            acc[i] += c * e
+    return tuple(acc)
+
+
+def dense_centralizer(x, v):
+    g = x.parent
+    images = [dense_bracket(g, x, Element(g, row)).coords for row in v.basis.entries]
+    rows = []
+    for combo in nullspace(RationalMatrix(images).transpose()).entries:
+        vec = [Fraction(0)] * g.dim
+        for c, row in zip(combo, v.basis.entries):
+            for i, e in enumerate(row):
+                vec[i] += c * e
+        rows.append(vec)
+    return g.subspace(rows) if rows else Subspace(g, RationalMatrix.zero(0, g.dim))
 
 
 def dense_automorphism_verdict(g, theta):
@@ -178,15 +244,96 @@ def test_shifted_rejects_non_square():
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-@pytest.mark.parametrize("make", [lambda: build_classical("sl", 3), build_g2])
+@pytest.mark.parametrize("make", [lambda: build_classical("sl", 3), build_g2, scaled_sl2])
 def test_bracket_matches_dense_bracket(make, data):
     g = make()
     x, y = (
         Element(g, [data.draw(st.one_of(st.just(0), entries)) for _ in range(g.dim)])
         for _ in range(2)
     )
-    assert g.bracket(x, y) == dense_bracket(g, x, y)
-    assert g.bracket(y, x) == dense_bracket(g, y, x)
+    for a, b in ((x, y), (y, x)):
+        got = g.bracket(a, b)
+        assert got == dense_bracket(g, a, b)
+        assert all_fractions(got.coords)
+
+
+def test_scaled_sl2_has_non_integer_structure_constants():
+    g = scaled_sl2()
+    constants = {c for bracket in g.table.values() for c in bracket.values()}
+    assert constants == {Fraction(3, 2), Fraction(2, 3), Fraction(-2, 3)}
+    e, f, h = (g.basis_element(i) for i in range(3))
+    assert g.bracket(e, f).coords == (0, 0, Fraction(3, 2))
+    assert g.bracket(f, h).coords == (0, Fraction(2, 3), 0)
+    assert g.bracket(h, f).coords == (0, Fraction(-2, 3), 0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("index", range(7))
+def test_realize_matches_the_fraction_fold(index, data):
+    g = seven_pairs()[index].g
+    x = Element(g, [data.draw(st.one_of(st.just(0), entries)) for _ in range(g.dim)])
+    got = g.realize(x)
+    assert got.entries == dense_realize(g, x)
+    assert all(all_fractions(row) for row in got.entries)
+    assert (got.rows, got.cols) == (g.realization[0].rows,) * 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("index", range(8))
+def test_from_p_coords_matches_the_fraction_fold(index, data):
+    pair = (seven_pairs() + [scaled_sl2_pair()])[index]
+    # ints and Fractions, as callers pass both
+    coords = [data.draw(st.one_of(st.just(0), entries)) for _ in range(pair.p.dim)]
+    got = pair.from_p_coords(coords).coords
+    assert got == dense_from_p_coords(pair, coords)
+    assert all_fractions(got)
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("index", range(8))
+def test_centralizer_in_matches_the_fraction_fold(index, data):
+    pair = (seven_pairs() + [scaled_sl2_pair()])[index]
+    # mostly zero coordinates, so that irregular elements come up too
+    coords = [data.draw(st.one_of(st.just(0), st.just(0), entries)) for _ in range(pair.p.dim)]
+    x = pair.from_p_coords(coords)
+    for v in (pair.p, pair.k, pair.cartan):
+        got = centralizer_in(x, v)
+        assert got == dense_centralizer(x, v)
+        assert all(all_fractions(row) for row in got.basis.entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("make", [lambda: build_classical("sl", 3), scaled_sl2])
+def test_kernels_on_fractional_rows_match_the_fraction_folds(make, data):
+    # the seven pairs have integer rows of p and integer realizations; here
+    # the realization (scaled_sl2) and the rows of the subspace are not
+    g = make()
+    x = Element(g, [data.draw(st.one_of(st.just(0), entries)) for _ in range(g.dim)])
+    assert g.realize(x).entries == dense_realize(g, x)
+    rows = [[data.draw(entries) for _ in range(g.dim)] for _ in range(data.draw(st.integers(1, 3)))]
+    v = g.subspace(rows)
+    got = centralizer_in(x, v)
+    assert got == dense_centralizer(x, v)
+    assert all(all_fractions(row) for row in got.basis.entries)
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_integer_kernels_return_fraction_zeros(index):
+    pair = seven_pairs()[index]
+    g = pair.g
+    zero = g.zero()
+    for out in (
+        g.bracket(zero, g.basis_element(0)).coords,
+        g.bracket(g.basis_element(0), g.basis_element(0)).coords,
+        pair.from_p_coords([0] * pair.p.dim).coords,
+        sum(g.realize(zero).entries, ()),
+    ):
+        assert all_fractions(out)
+        assert all(a == 0 for a in out)
 
 
 def test_bracket_of_basis_elements_matches_the_table():

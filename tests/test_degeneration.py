@@ -389,6 +389,26 @@ def test_rigidity_sl3_partial_degeneration():
     assert classify_element(s0) == "semisimple"
 
 
+def test_rigidity_check_builds_one_magnitude_flag_per_moving_matrix(monkeypatch):
+    # the split-adapted basis of the rigidity check reuses the flag that its
+    # limit computation built from the same moving matrix
+    import reductions.degeneration as degeneration
+
+    seen = []
+    flag_from_moving = degeneration._flag_from_moving
+
+    def recording(moving, basis):
+        seen.append(moving)  # held, so that no id is reused
+        return flag_from_moving(moving, basis)
+
+    monkeypatch.setattr(degeneration, "_flag_from_moving", recording)
+    pair = square_of("sl3")
+    curve = curve_from_generators(pair, [(diag_k_element(pair, E(3, 0, 2)), -1)])
+    report = degeneration.rigidity_check(curve, cartan_plane(pair))
+    assert report.entries  # filled on the constant-frame path, the one that adapts twice
+    assert len(seen) == 1
+
+
 # -- descent and class closure
 
 
