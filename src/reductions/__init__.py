@@ -8,7 +8,6 @@ construction time.
 """
 
 from .errors import (
-    BudgetExceededError,
     DomainError,
     InternalCheckError,
     IrrationalSpectrumError,

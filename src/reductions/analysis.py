@@ -193,13 +193,6 @@ def _jordan_partition(nil: RationalMatrix) -> tuple:
     return tuple(sorted(parts, reverse=True))
 
 
-def coarse_invariants(pair: SymmetricPair, x: Element) -> tuple[int, int]:
-    """(dim c_p(x_s), dim c_p(x)): the class invariants available for pairs
-    without a signature implementation."""
-    s, _ = jordan_chevalley(x)
-    return (pair.c_p(s).dim if not s.is_zero() else pair.p.dim, pair.c_p(x).dim)
-
-
 # -- genericity order
 
 

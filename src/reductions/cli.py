@@ -3,25 +3,18 @@ combinatorics, and run the acceptance suite.
 
 All numbers in reports are exact rational strings; identical configuration
 and seed produce byte-identical output.  Exit codes: 0 all checks pass,
-1 a falsified claim, 2 usage error, 3 resource/budget exhaustion.
+1 a falsified claim, 2 usage error, 3 an exhausted randomized search.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    PrecisionError,
-    ReductionsError,
-    SearchExhaustedError,
-)
-from .exact import DEFAULT_BUDGET, RationalMatrix, rat
+from .errors import DomainError, ReductionsError, SearchExhaustedError
+from .exact import RationalMatrix, rat
 
 
 def _jsonify(value):
@@ -79,7 +72,7 @@ def _parse_plane(pair, text):
     return plane_from_basis(pair, [_parse_vector(pair, v) for v in data])
 
 
-def _parse_curve(pair, text, budget):
+def _parse_curve(pair, text):
     from .degeneration import GroupCurve
 
     data = json.loads(text)
@@ -101,7 +94,7 @@ def _parse_curve(pair, text, budget):
         from .liealg import Element
 
         moves.append((kind, Element(pair.g, coords), int(move["exponent"])))
-    return GroupCurve(pair, moves, budget=budget)
+    return GroupCurve(pair, moves)
 
 
 def cmd_pair(args):
@@ -144,10 +137,9 @@ def cmd_degenerate(args):
         cartan_plane,
     )
 
-    budget = args.budget
     if args.toy:
         weights = json.loads(args.toy)
-        curve = MonomialCurve(weights, budget=budget)
+        curve = MonomialCurve(weights)
         basis = RationalMatrix([[Fraction(v) for v in row] for row in json.loads(args.plane)])
         flag = magnitude_flag(curve, basis)
         comp = limit_computation(curve, basis)
@@ -171,7 +163,7 @@ def cmd_degenerate(args):
         plane = cartan_plane(pair)
     else:
         plane = _parse_plane(pair, args.plane)
-    curve = _parse_curve(pair, args.curve, budget)
+    curve = _parse_curve(pair, args.curve)
     flag = magnitude_flag(curve, plane)
     comp = limit_computation(curve, plane)
     limit = comp.plane
@@ -292,14 +284,6 @@ def build_parser():
         description="exact-arithmetic toolkit for symmetric pairs and the "
         "Grassmannian degenerations of their Cartan subspaces",
     )
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=int(os.environ.get("REDUCTIONS_BUDGET", DEFAULT_BUDGET)),
-        help="order the series inverses of `degenerate` start at, doubled on "
-        "demand up to 256; group curves are exact and do not depend on it, "
-        "and `verify` runs at 16 (env REDUCTIONS_BUDGET)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_pair = sub.add_parser("pair", help="construct a pair and report its structure")
@@ -348,8 +332,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceededError, SearchExhaustedError, PrecisionError) as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except SearchExhaustedError as exc:
+        print(f"search exhausted: {exc}", file=sys.stderr)
         return 3
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

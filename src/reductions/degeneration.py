@@ -27,18 +27,14 @@ import random
 from fractions import Fraction
 
 from .errors import (
-    BudgetExceededError,
     DomainError,
     InternalCheckError,
     IrrationalSpectrumError,
-    PrecisionError,
     RankDeficiencyError,
 )
 from .analysis import _adjugate_coefficients
 from .exact import (
     _EXACT_ONE,
-    DEFAULT_BUDGET,
-    MAX_BUDGET,
     LaurentSeries,
     LinearSolver,
     RationalMatrix,
@@ -70,68 +66,34 @@ _ONE = Fraction(1)
 
 
 class VectorCurve:
-    """A t-family of invertible matrices on a plain vector space.
+    """A t-family of invertible matrices on a plain vector space, given by
+    one exact series matrix, ``matrix``.  This raw form carries no Lie
+    structure and powers the toy mode of the command line."""
 
-    Subclasses provide ``_build(budget) -> (matrix, inverse)``; results are
-    cached per budget.  This raw form carries no Lie structure and powers the
-    toy mode of the command line.
-    """
-
-    def __init__(self, dim, budget=DEFAULT_BUDGET):
-        self.dim = dim
-        self.budget = budget
-        self._cache = {}
-
-    def _build(self, budget):
-        raise NotImplementedError
-
-    def matrices(self, budget=None):
-        b = budget or self.budget
-        if b not in self._cache:
-            self._cache[b] = self._build(b)
-        return self._cache[b]
-
-    def matrix(self, budget=None) -> SeriesMatrix:
-        return self.matrices(budget)[0]
+    def __init__(self, matrix: SeriesMatrix):
+        if not all(e.is_exact() for row in matrix.entries for e in row):
+            raise DomainError("a curve needs exact series entries")
+        self.matrix = matrix
 
 
 class MonomialCurve(VectorCurve):
     """diag(t^{w_1}, ..., t^{w_n}): the toy curves of the examples."""
 
-    def __init__(self, weights, budget=DEFAULT_BUDGET):
-        super().__init__(len(weights), budget)
+    def __init__(self, weights):
         self.weights = tuple(int(w) for w in weights)
-
-    def _build(self, budget):
-        return tuple(
-            SeriesMatrix([
-                [LaurentSeries.t_power(sign * w) if i == j else LaurentSeries.zero()
-                 for j in range(self.dim)]
-                for i, w in enumerate(self.weights)
-            ])
-            for sign in (1, -1)
-        )
+        super().__init__(_diagonal_powers(self.weights))
 
 
-class PolynomialCurve(VectorCurve):
-    """A curve given by explicit Laurent-polynomial entries
-    ({exponent: coefficient} dicts); no Lie structure attached."""
-
-    def __init__(self, entry_dicts, inverse_dicts=None, budget=DEFAULT_BUDGET):
-        super().__init__(len(entry_dicts), budget)
-        self.entry_dicts = entry_dicts
-        self.inverse_dicts = inverse_dicts
-
-    def _build(self, budget):
-        fwd = SeriesMatrix([[_series_from_dict(d) for d in row] for row in self.entry_dicts])
-        if self.inverse_dicts is not None:
-            bwd = SeriesMatrix([[_series_from_dict(d) for d in row] for row in self.inverse_dicts])
-        else:
-            bwd = fwd.inverse(budget)
-        return fwd, bwd
+def _diagonal_powers(weights) -> SeriesMatrix:
+    """diag(t^{w_1}, ..., t^{w_n})."""
+    zero = LaurentSeries.zero()
+    return SeriesMatrix._trusted(tuple(
+        tuple([LaurentSeries.t_power(w) if i == j else zero for j in range(len(weights))])
+        for i, w in enumerate(weights)
+    ))
 
 
-class GroupCurve(VectorCurve):
+class GroupCurve:
     """Composite of exact moves in the fixed group of a symmetric pair.
 
     Moves are ('exp', element, exponent), ('cayley', element, exponent) or
@@ -158,13 +120,10 @@ class GroupCurve(VectorCurve):
     are checked exactly to commute with the involution, to preserve the
     bracket up to the scale (w·fwd([x, y]) = [fwd x, fwd y]) and to invert
     against their companion up to it (fwd·bwd = w²·I), and the p-matrix is
-    checked against their restriction to p.  Being exact, the matrices do
-    not depend on a budget: ``budget`` is only where the series inverses of
-    a limit start.
+    checked against their restriction to p.
     """
 
-    def __init__(self, pair: SymmetricPair, moves, budget=DEFAULT_BUDGET, validate=True):
-        super().__init__(pair.g.dim, budget)
+    def __init__(self, pair: SymmetricPair, moves, validate=True):
         self.pair = pair
         self.moves = tuple(moves)
         self.validate = validate
@@ -172,18 +131,18 @@ class GroupCurve(VectorCurve):
         self._p = None
         self._scale = None
 
-    def matrices(self, budget=None):
-        """The curve on g and its inverse companion; ``budget`` is not read."""
+    def matrices(self):
+        """The curve on g and its inverse companion."""
         if self._g is None:
-            eye = RationalMatrix.identity(self.dim)
+            eye = RationalMatrix.identity(self.pair.g.dim)
             fwd, bwd, self._scale = _compose(self.pair, self.moves, eye, inverse=True)
             if self.validate:
                 _validate_curve(self.pair, fwd, bwd, self._scale)
             self._g = fwd, bwd
         return self._g
 
-    def p_matrix(self, budget=None) -> SeriesMatrix:
-        """The curve on p, in the coordinates of p's rows; ``budget`` is not read."""
+    def p_matrix(self) -> SeriesMatrix:
+        """The curve on p, in the coordinates of p's rows."""
         if self._p is None:
             mat, self._scale = _compose(self.pair, self.moves, self.pair.p.basis, inverse=False)
             if self.validate:
@@ -348,14 +307,7 @@ def _torus_factors(g, weights):
         weights = tuple(weights) + tuple(weights)  # same torus in both square factors
     if len(weights) != real_dim:
         raise DomainError("torus weights must match the realization size")
-    return tuple(
-        SeriesMatrix([
-            [LaurentSeries.t_power(sign * w) if i == j else LaurentSeries.zero()
-             for j in range(real_dim)]
-            for i, w in enumerate(weights)
-        ])
-        for sign in (1, -1)
-    )
+    return _diagonal_powers(weights), _diagonal_powers([-w for w in weights])
 
 
 def _conjugation_on_coords(g, q: SeriesMatrix, q_inv: SeriesMatrix, basis, pivots) -> SeriesMatrix:
@@ -453,23 +405,23 @@ def _restrict_to_p(pair, fwd: SeriesMatrix) -> SeriesMatrix:
 # -- constructors mirroring the move families
 
 
-def curve_from_generators(pair, generators, budget=DEFAULT_BUDGET, validate=True) -> GroupCurve:
+def curve_from_generators(pair, generators, validate=True) -> GroupCurve:
     """Product of exp(t^e ad y) moves for ad-nilpotent y in k."""
-    return GroupCurve(pair, [("exp", y, e) for y, e in generators], budget, validate)
+    return GroupCurve(pair, [("exp", y, e) for y, e in generators], validate)
 
 
-def curve_from_cayley(pair, generators, budget=DEFAULT_BUDGET, validate=True) -> GroupCurve:
+def curve_from_cayley(pair, generators, validate=True) -> GroupCurve:
     """Product of Cayley rotation arcs (I + t^e y)(I - t^e y)^{-1} for y in k."""
-    return GroupCurve(pair, [("cayley", y, e) for y, e in generators], budget, validate)
+    return GroupCurve(pair, [("cayley", y, e) for y, e in generators], validate)
 
 
-def curve_from_torus(pair, weights, budget=DEFAULT_BUDGET, validate=True) -> GroupCurve:
+def curve_from_torus(pair, weights, validate=True) -> GroupCurve:
     """Conjugation by the one-parameter weight torus diag(t^{w_i})."""
-    return GroupCurve(pair, [("torus", tuple(weights))], budget, validate)
+    return GroupCurve(pair, [("torus", tuple(weights))], validate)
 
 
-def identity_curve(pair, budget=DEFAULT_BUDGET) -> GroupCurve:
-    return GroupCurve(pair, [], budget, validate=False)
+def identity_curve(pair) -> GroupCurve:
+    return GroupCurve(pair, [], validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -498,48 +450,48 @@ class MagnitudeFlag:
         return out
 
 
-def _acting_matrix(curve, budget=None) -> SeriesMatrix:
+def _acting_matrix(curve) -> SeriesMatrix:
     """The matrix a plane sees: the p-restriction for group curves."""
-    if hasattr(curve, "p_matrix"):
-        return curve.p_matrix(budget)
-    return curve.matrix(budget)
+    return curve.p_matrix() if isinstance(curve, GroupCurve) else curve.matrix
 
 
-def magnitude_order(curve: VectorCurve, x, budget=None) -> int:
+def magnitude_order(curve, x) -> int:
     """min coordinate valuation of the moving vector; x != 0 required.  An
     Element moves in g coordinates, a plain vector in those planes move in."""
     coords = x.coords if isinstance(x, Element) else tuple(x)
     if all(c == 0 for c in coords):
         raise DomainError("the zero vector has no magnitude order")
     if isinstance(x, Element):
-        return min_valuation(curve.matrices(budget)[0].apply(coords))
-    return min_valuation(_acting_matrix(curve, budget).apply(coords))
+        return min_valuation(curve.matrices()[0].apply(coords))
+    return min_valuation(_acting_matrix(curve).apply(coords))
 
 
-def _moving_matrix(curve, basis_rows: RationalMatrix, budget=None) -> SeriesMatrix:
+def _moving_matrix(curve, basis_rows: RationalMatrix) -> SeriesMatrix:
     """Columns are the curve images of the basis rows."""
-    return _acting_matrix(curve, budget).mul_rational(basis_rows.transpose())
+    return _acting_matrix(curve).mul_rational(basis_rows.transpose())
 
 
 def _flag_from_moving(moving: SeriesMatrix, basis: RationalMatrix) -> MagnitudeFlag:
     r = basis.rows
-    start = min_valuation([e for row in moving.entries for e in row])
+    entries = [e for row in moving.entries for e in row]
+    start = min_valuation(entries)
+    # the entries are Laurent polynomials: past their highest exponent no
+    # constraint is new, so a level left there means dependent columns
+    top = max(e.val + len(e.coeffs) for e in entries if e.coeffs)
     constraints = []
     dims = []
     level_mats = []
     k = start
     current = RationalMatrix.identity(r)
-    guard = 0
     while current.rows > 0:
+        if k >= top:
+            raise InternalCheckError("magnitude flag did not terminate")
         level_mats.append(current)
         dims.append(current.rows)
         for row in moving.entries:
             constraints.append([e.coeff_at(k) for e in row])
         current = nullspace(RationalMatrix(constraints))
         k += 1
-        guard += 1
-        if guard > 8 * MAX_BUDGET:
-            raise InternalCheckError("magnitude flag did not terminate")
     jumps = []
     levels = []
     for idx in range(len(dims)):
@@ -550,7 +502,7 @@ def _flag_from_moving(moving: SeriesMatrix, basis: RationalMatrix) -> MagnitudeF
     return MagnitudeFlag(jumps, levels, basis)
 
 
-def magnitude_flag(curve, plane, budget=None) -> MagnitudeFlag:
+def magnitude_flag(curve, plane) -> MagnitudeFlag:
     """The flag of the plane by magnitude order along the curve.
 
     Levels are the exact solution spaces of the coefficient equations; their
@@ -558,7 +510,7 @@ def magnitude_flag(curve, plane, budget=None) -> MagnitudeFlag:
     directly computed magnitude orders by the test-suite invariants.
     """
     basis = plane.matrix if isinstance(plane, Plane) else plane
-    return _flag_from_moving(_moving_matrix(curve, basis, budget), basis)
+    return _flag_from_moving(_moving_matrix(curve, basis), basis)
 
 
 def _combo_to_vector(combo, basis: RationalMatrix):
@@ -587,7 +539,7 @@ def _extend_basis(smaller: RationalMatrix, larger: RationalMatrix):
     return extra
 
 
-def magnitude_basis(curve, plane, split=None, budget=None):
+def magnitude_basis(curve, plane, split=None):
     """A basis of the plane adapted to the magnitude flag, ordered by
     non-decreasing magnitude order.
 
@@ -598,7 +550,7 @@ def magnitude_basis(curve, plane, split=None, budget=None):
 
     Returns a list of (combination row over the plane basis, magnitude order).
     """
-    return _adapted_basis(magnitude_flag(curve, plane, budget), plane, split)
+    return _adapted_basis(magnitude_flag(curve, plane), plane, split)
 
 
 def _adapted_basis(flag: MagnitudeFlag, plane, split=None):
@@ -678,11 +630,12 @@ class LimitComputation:
     ``surfaced`` carries the instance data verbatim and the limit was
     computed through the series-adapted module frame instead.  Either way
     the result is cross-checked against the Plücker-valuation route.
-    ``flag`` is the magnitude flag of the plane the adapted basis came from.
+    ``flag`` is the magnitude flag of the plane the adapted basis came from,
+    and ``moving`` the matrix whose columns are the moving basis of the plane.
     """
 
     def __init__(self, plane, basis_data, wedge_valuation, oracle_coords,
-                 constant_frame_ok=True, surfaced=None, flag=None):
+                 constant_frame_ok=True, surfaced=None, flag=None, moving=None):
         self.plane = plane
         self.basis_data = basis_data  # list of (combo, omega, tempered vector)
         self.wedge_valuation = wedge_valuation
@@ -690,52 +643,30 @@ class LimitComputation:
         self.constant_frame_ok = constant_frame_ok
         self.surfaced = surfaced
         self.flag = flag
+        self.moving = moving
 
     def omegas(self):
         return [om for _, om, _ in self.basis_data]
 
 
-def limit_plane(curve, plane, budget=None):
+def limit_plane(curve, plane):
     """The limit of the moving plane at t = 0, via an adapted tempered frame,
     cross-checked exactly against the Plücker-valuation route.
 
-    Raises BudgetExceededError when doubling the truncation budget up to the
-    ceiling still cannot decide a valuation, and InternalCheckError when the
-    two routes disagree (they never may).
+    Raises InternalCheckError when the two routes disagree (they never may).
     """
-    return limit_computation(curve, plane, budget).plane
+    return limit_computation(curve, plane).plane
 
 
-def limit_computation(curve, plane, budget=None) -> LimitComputation:
-    basis = plane.matrix if isinstance(plane, Plane) else plane
-    return _escalating(
-        lambda b: _limit_once(curve, plane, b, _moving_matrix(curve, basis, b)),
-        budget or (curve.budget if isinstance(curve, VectorCurve) else DEFAULT_BUDGET),
-        f"series budget ceiling {MAX_BUDGET} reached while computing a limit",
-    )
-
-
-def _escalating(compute, budget, message):
-    """``compute(b)`` from b = ``budget``, doubling b on each PrecisionError;
-    BudgetExceededError with ``message`` once b would pass MAX_BUDGET."""
-    b = budget
-    while True:
-        try:
-            return compute(b)
-        except PrecisionError:
-            b *= 2
-            if b > MAX_BUDGET:
-                raise BudgetExceededError(message)
-
-
-def _limit_once(curve, plane, budget, moving: SeriesMatrix) -> LimitComputation:
-    """One limit at ``budget``, from the plane's moving matrix ``moving``."""
+def limit_computation(curve, plane) -> LimitComputation:
+    """The double computation of the limit of the moving plane at t = 0."""
     basis = plane.matrix if isinstance(plane, Plane) else plane
     r = basis.rows
+    moving = _moving_matrix(curve, basis)
     flag = _flag_from_moving(moving, basis)
     adapted = _adapted_basis(flag, plane)
     vectors = RationalMatrix._trusted(tuple(_combo_to_vector(c, basis) for c, _ in adapted))
-    moved = _moving_matrix(curve, vectors, budget)
+    moved = _moving_matrix(curve, vectors)
 
     # wedge additivity on every initial segment of the adapted basis; a
     # failure here is not a bug but an obstruction instance: no basis of the
@@ -769,7 +700,7 @@ def _limit_once(curve, plane, budget, moving: SeriesMatrix) -> LimitComputation:
         if len(rref(frame_matrix)[1]) != r:
             raise InternalCheckError("tempered frame does not stay a frame at t = 0")
     else:
-        record, pivots = valuation_adapted_reduce(moving, budget)
+        record, pivots = valuation_adapted_reduce(moving)
         tempered = []
         for col, pival in enumerate(pivots):
             vec = [record.reduced.entries[i][col].coeff_at(pival) for i in range(moving.rows)]
@@ -805,7 +736,7 @@ def _limit_once(curve, plane, budget, moving: SeriesMatrix) -> LimitComputation:
             for (combo, om), vec in zip(adapted, tempered)
         ]
         return LimitComputation(
-            limit, basis_data, wedge_val, oracle, constant_frame_ok, surfaced, flag
+            limit, basis_data, wedge_val, oracle, constant_frame_ok, surfaced, flag, moving
         )
 
     limit_rows = row_space(frame_matrix)
@@ -816,20 +747,19 @@ def _limit_once(curve, plane, budget, moving: SeriesMatrix) -> LimitComputation:
         )
     basis_data = [(combo, om, vec) for (combo, om), vec in zip(adapted, tempered)]
     return LimitComputation(
-        limit_rows, basis_data, wedge_val, oracle, constant_frame_ok, surfaced, flag
+        limit_rows, basis_data, wedge_val, oracle, constant_frame_ok, surfaced, flag, moving
     )
 
 
-def non_adapted_additivity_fails(curve, plane, budget=None) -> bool:
+def non_adapted_additivity_fails(curve, plane) -> bool:
     """Negative control: when the flag is nontrivial, spoiling the deepest
     adapted vector must break wedge additivity at some stage.
 
     Returns True when the control triggered, False when the flag is trivial
     (one jump) and there is nothing to test.
     """
-    b = budget or curve.budget
     basis = plane.matrix if isinstance(plane, Plane) else plane
-    adapted = magnitude_basis(curve, plane, budget=b)
+    adapted = magnitude_basis(curve, plane)
     omegas = [om for _, om in adapted]
     if len(set(omegas)) < 2:
         return False
@@ -838,7 +768,7 @@ def non_adapted_additivity_fails(curve, plane, budget=None) -> bool:
     combos = [list(c) for c, _ in adapted]
     combos[j] = [a + b2 for a, b2 in zip(combos[j], combos[i])]
     vectors = RationalMatrix._trusted(tuple(_combo_to_vector(c, basis) for c in combos))
-    moved = _moving_matrix(curve, vectors, b)
+    moved = _moving_matrix(curve, vectors)
     spoiled = [min_valuation(col) for col in (moved.column(c) for c in range(len(combos)))]
     for k in range(1, len(combos) + 1):
         vals = []
@@ -880,7 +810,7 @@ class RigidityReport:
         }
 
 
-def rigidity_check(curve: GroupCurve, plane: Plane, budget=None) -> RigidityReport:
+def rigidity_check(curve: GroupCurve, plane: Plane) -> RigidityReport:
     """Degenerate an abelian, Chevalley-Jordan-closed plane and certify that:
     the limit is abelian and closed again; semisimple limit vectors arise
     with magnitude order zero from semisimple sources; and the semisimple
@@ -902,18 +832,9 @@ def rigidity_check(curve: GroupCurve, plane: Plane, budget=None) -> RigidityRepo
     if not sub.contains_subspace(s_span):
         raise DomainError("plane is not closed under the Chevalley-Jordan split")
 
-    return _escalating(
-        lambda b: _rigidity_once(curve, plane, s_span, n_span, b),
-        budget or curve.budget,
-        "budget ceiling reached during rigidity check",
-    )
-
-
-def _rigidity_once(curve, plane, s_span, n_span, b) -> "RigidityReport":
-    pair = plane.pair
     basis = plane.matrix
-    moving = _moving_matrix(curve, basis, b)
-    comp = _limit_once(curve, plane, b, moving)
+    comp = limit_computation(curve, plane)
+    moving = comp.moving
     limit = comp.plane
     if not is_anisotropic_subalgebra(limit):
         raise InternalCheckError("limit of an abelian plane is not abelian")
@@ -922,7 +843,7 @@ def _rigidity_once(curve, plane, s_span, n_span, b) -> "RigidityReport":
     if not closed:
         raise InternalCheckError("limit of a CJ-closed plane is not CJ-closed")
 
-    cmat = curve.p_matrix(b)
+    cmat = curve.p_matrix()
     entries = []
     witness_pairs = []
 
@@ -1083,10 +1004,7 @@ def descend_to_closed(pair, plane: Plane, step_budget=12, seed=0, tries_per_step
             curve = _sample_degeneration_curve(pair, rng)
             if curve is None:
                 break
-            try:
-                candidate = limit_plane(curve, current)
-            except BudgetExceededError:
-                continue
+            candidate = limit_plane(curve, current)
             d = stabilizer_dimension(candidate)
             if d > dims[-1]:
                 current = candidate
@@ -1139,45 +1057,11 @@ def tempered_element_limit(curve: GroupCurve, x: Element):
     """Limit of the line through x: the tempered value of the moving vector.
 
     The p-matrix of a group curve is exact, so the valuation of the moved
-    vector is always decided and no budget is retried."""
+    vector is always decided."""
     pair = curve.pair
     moved = curve.p_matrix().apply(pair.to_p_coords(x))
     om = min_valuation(moved)
     return pair.from_p_coords([s.coeff_at(om) for s in moved]), om
-
-
-class SubstitutedCurve(VectorCurve):
-    """A curve with the parameter rescaled by a unit series t -> t·u(t).
-
-    Limits are invariant under this reparametrization; the wrapper exists so
-    tests can verify exactly that.
-    """
-
-    def __init__(self, base, unit_coeffs):
-        super().__init__(base.dim, base.budget)
-        self.base = base
-        self.unit_coeffs = tuple(Fraction(c) for c in unit_coeffs)
-        self._p_cache = {}
-        if hasattr(base, "pair"):
-            self.pair = base.pair
-
-    def _substituted(self, m: SeriesMatrix, budget) -> SeriesMatrix:
-        u = LaurentSeries(0, [_ONE, *self.unit_coeffs])
-        return SeriesMatrix([[e.substitute_scaled(u, budget) for e in row] for row in m.entries])
-
-    def _build(self, budget):
-        fwd, bwd = self.base.matrices(budget)
-        return self._substituted(fwd, budget), self._substituted(bwd, budget)
-
-    def p_matrix(self, budget=None):
-        b = budget or self.budget
-        if b not in self._p_cache:
-            self._p_cache[b] = self._substituted(_acting_matrix(self.base, b), b)
-        return self._p_cache[b]
-
-
-def reparametrize(curve, unit_coeffs) -> SubstitutedCurve:
-    return SubstitutedCurve(curve, unit_coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,15 @@ class ReductionsError(Exception):
 
 
 class PrecisionError(ReductionsError):
-    """A truncated series did not carry enough coefficients to decide the
-    question at hand.  Callers retry with a larger truncation budget."""
+    """A series does not determine what was asked of it: a coefficient past
+    the bound of a truncated series, or the valuation of a series that is
+    zero so far.  Truncated series come only from the series inverses and
+    ``truncate``, and no caller retries; ``needed`` is the exponent that
+    would have had to be known."""
 
     def __init__(self, message, needed=None):
         super().__init__(message)
         self.needed = needed
-
-
-class BudgetExceededError(ReductionsError):
-    """Escalating the truncation budget hit the hard ceiling."""
 
 
 class RankDeficiencyError(ReductionsError):

@@ -13,12 +13,13 @@ four value types in this module:
 
 A truncated series knows the exponent below which its coefficients are
 reliable (``prec``); arithmetic propagates that bound instead of silently
-pretending full accuracy.  That is the only precision a series carries.  The
-operations that have to cut an infinite expansion short (``inverse``,
-``SeriesMatrix.inverse``, ``substitute_scaled``, ``valuation_adapted_reduce``)
-take the number of terms to keep as an explicit ``order``.  Reading past a
-bound raises ``PrecisionError`` and callers retry with a doubled order (see
-``degeneration``).
+pretending full accuracy.  That is the only precision a series carries.  Only
+the two operations that have to cut an infinite expansion short,
+``LaurentSeries.inverse`` and ``SeriesMatrix.inverse``, take the number of
+terms to keep, as an explicit ``order``; reading past a bound raises
+``PrecisionError``.  Nothing in the degeneration layer inverts a series: its
+curves are exact Laurent-polynomial matrices and ``valuation_adapted_reduce``
+eliminates fraction-free, so its limits need no truncation order.
 
 Invariant: matrix entries, series coefficients and (in ``liealg``) element
 coordinates are always ``Fraction``, never ``int``, so that ``1 / x`` stays
@@ -50,7 +51,6 @@ from math import gcd, lcm
 from .errors import DomainError, PrecisionError, RankDeficiencyError
 
 DEFAULT_BUDGET = 16
-MAX_BUDGET = 256
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -807,30 +807,6 @@ class LaurentSeries:
         newp = prec if self.prec is None else min(prec, self.prec)
         return LaurentSeries._trusted(self.val, self.coeffs, newp)
 
-    def substitute_scaled(self, unit: "LaurentSeries", order=DEFAULT_BUDGET):
-        """Substitute t -> t * unit(t) for a unit series (val 0, nonzero c0);
-        negative powers of the unit use its inverse to ``order`` terms."""
-        if unit.is_zero() or unit.valuation() != 0:
-            raise DomainError("reparametrization must be by a unit series")
-        if self.is_zero():
-            return self
-        pow_cache = {0: _EXACT_ONE}
-
-        def upower(k):
-            if k not in pow_cache:
-                if k > 0:
-                    pow_cache[k] = upower(k - 1) * unit
-                else:
-                    pow_cache[k] = upower(k + 1) * unit.inverse(order)
-            return pow_cache[k]
-
-        result = _sum_of_scaled(
-            [(_prepared(upower(k).shift(k)), c) for k, c in enumerate(self.coeffs, self.val) if c]
-        )
-        if self.prec is not None:
-            result = result.truncate(self.prec)
-        return result
-
     # -- comparison
 
     def __eq__(self, other):
@@ -1062,12 +1038,12 @@ def _negated(prepared):
 _PREPARED_ONE = _prepared(_EXACT_ONE)
 
 
-def _eliminate(row, f, pivot_row):
-    """[a - f * b for a, b in zip(row, pivot_row)] with pivot_row prepared,
-    each entry the sum of products a·1 + (-f)·b."""
+def _eliminate(row, f, pivot_row, unit=_PREPARED_ONE):
+    """[u * a - f * b for a, b in zip(row, pivot_row)] with pivot_row and
+    the unit u prepared, each entry the sum of products a·u + (-f)·b."""
     minus_f = _negated(_prepared(f))
     return [
-        _sum_of_products(((_prepared(a), _PREPARED_ONE), (minus_f, b)))
+        _sum_of_products(((_prepared(a), unit), (minus_f, b)))
         for a, b in zip(row, pivot_row)
     ]
 
@@ -1161,17 +1137,22 @@ class ColumnReduction:
         self.pivot_valuations = pivot_valuations
 
 
-def valuation_adapted_reduce(
-    matrix: SeriesMatrix, order=DEFAULT_BUDGET
-) -> tuple[ColumnReduction, list[int]]:
+def valuation_adapted_reduce(matrix: SeriesMatrix) -> tuple[ColumnReduction, list[int]]:
     """Column-reduce over the local ring, exposing the invariant-factor
     valuations of the column module inside the ambient free module.
 
     Pivots are chosen by lowest valuation, ties broken by lowest row index
-    (then lowest column index), and inverted to ``order`` terms.  Requires
-    full column rank over the series field; rank deficiency and undecidable
-    (tracked-zero) pivots are errors.
+    (then lowest column index).  Elimination is fraction-free over the
+    discrete valuation ring, in the manner of Bareiss: for the pivot
+    p = t^v·u, u a unit, each other column becomes u·col_j − (e·t^(−v))·col_k
+    with e its entry in the pivot row.  e·t^(−v) is again a Laurent
+    polynomial, no series is inverted, and each column ends up a unit
+    multiple of the one an elimination by p^(−1) gives, with the same pivots
+    and valuations.  Requires exact entries and full column rank over the
+    series field; rank deficiency is an error.
     """
+    if any(e.prec is not None for row in matrix.entries for e in row):
+        raise DomainError("valuation-adapted reduction needs exact series entries")
     work = [list(col) for col in zip(*matrix.entries)]  # list of columns
     ncols = len(work)
     nrows = matrix.rows
@@ -1184,47 +1165,29 @@ def valuation_adapted_reduce(
     pivot_vals = []
     for k in range(ncols):
         best = None  # (val, row, col)
-        blocked = None
         for j in range(k, ncols):
             for r in range(nrows):
-                if r in used_rows:
-                    continue
                 e = work[j][r]
-                if e.is_zero():
-                    if not e.is_exact():
-                        blocked = max(blocked or e.prec, e.prec) if blocked else e.prec
-                    continue
-                key = (e.valuation(), r, j)
-                if best is None or key < best:
-                    best = key
+                if e.coeffs and r not in used_rows:
+                    key = (e.val, r, j)
+                    if best is None or key < best:
+                        best = key
         if best is None:
-            if blocked is not None:
-                raise PrecisionError(
-                    "cannot locate a pivot: remaining entries are zero so far",
-                    needed=blocked,
-                )
             raise RankDeficiencyError("matrix does not have full column rank")
         v, prow, pcol = best
-        if blocked is not None and blocked <= v:
-            raise PrecisionError(
-                f"tracked zero below t^{blocked} could precede pivot t^{v}",
-                needed=blocked,
-            )
         if pcol != k:
             work[k], work[pcol] = work[pcol], work[k]
             transform[k], transform[pcol] = transform[pcol], transform[k]
-        pinv = work[k][prow].inverse(order)
+        unit = _prepared(work[k][prow].shift(-v))
         pivot_col = [_prepared(b) for b in work[k]]
         pivot_transform = [_prepared(b) for b in transform[k]]
         for j in range(ncols):
-            if j == k:
-                continue
             e = work[j][prow]
-            if e.is_zero() and e.is_exact():
+            if j == k or not e.coeffs:
                 continue
-            q = e * pinv
-            work[j] = _eliminate(work[j], q, pivot_col)
-            transform[j] = _eliminate(transform[j], q, pivot_transform)
+            q = e.shift(-v)
+            work[j] = _eliminate(work[j], q, pivot_col, unit)
+            transform[j] = _eliminate(transform[j], q, pivot_transform, unit)
         used_rows.add(prow)
         pivot_rows.append(prow)
         pivot_vals.append(v)

@@ -24,8 +24,6 @@ from .exact import (
     LinearSolver,
     Polynomial,
     RationalMatrix,
-    coordinates_in_row_space,
-    in_row_space,
     _gcd_int,
     _integer_row,
     integer_roots,
@@ -154,8 +152,12 @@ class LieAlgebra:
     def bracket(self, x: "Element", y: "Element") -> "Element":
         if x.parent is not self or y.parent is not self:
             raise DomainError("bracket of elements with different parents")
-        dx, xs = _scaled_nonzeros(x.coords)
-        dy, ys = _scaled_nonzeros(y.coords)
+        return Element._trusted(self, self._bracket_scaled(_scaled_nonzeros(x.coords), y.coords))
+
+    def _bracket_scaled(self, scaled_x, y_coords):
+        """Coordinates of [x, y], x given once scaled by ``_scaled_nonzeros``."""
+        dx, xs = scaled_x
+        dy, ys = _scaled_nonzeros(y_coords)
         acc = [0] * self.dim
         rows = self._int_rows
         for i, a in xs:
@@ -166,7 +168,7 @@ class LieAlgebra:
                     ab = a * b
                     for k, c in terms:
                         acc[k] += ab * c
-        return Element._trusted(self, _fractions(acc, dx * dy * self._int_den))
+        return _fractions(acc, dx * dy * self._int_den)
 
     def ad(self, x: "Element") -> RationalMatrix:
         """Matrix of ad(x) on the algebra's own basis (columns = images)."""
@@ -391,12 +393,13 @@ class Element:
 class Subspace:
     """Subspace of a Lie algebra in canonical reduced row echelon form."""
 
-    __slots__ = ("parent", "basis")
+    __slots__ = ("parent", "basis", "_echelon")
 
     def __init__(self, parent: LieAlgebra, basis: RationalMatrix):
         canon = row_space(basis) if basis.rows else basis
         self.parent = parent
         self.basis = canon
+        self._echelon = None  # (pivot columns, integer rows), on first use
 
     @property
     def dim(self):
@@ -406,15 +409,24 @@ class Subspace:
         return [Element._trusted(self.parent, row) for row in self.basis.entries]
 
     def contains(self, x) -> bool:
-        coords = x.coords if isinstance(x, Element) else x
-        return in_row_space(self.basis, coords)
+        return self.coordinates_of(x) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis.entries)
 
     def coordinates_of(self, x):
+        """Coordinates of x over the basis rows, or None when x lies outside.
+        The basis is in reduced echelon form, so they are the entries of x at
+        its pivot columns, and x lies inside when they combine back to x."""
         coords = x.coords if isinstance(x, Element) else x
-        return coordinates_in_row_space(self.basis, coords)
+        if self._echelon is None:
+            pivots = [next(j for j, c in enumerate(row) if c) for row in self.basis.entries]
+            self._echelon = pivots, _integer_rows(self.basis.entries)
+        pivots, rows = self._echelon
+        out = tuple(Fraction(coords[c]) for c in pivots)
+        if _combination(out, rows, self.basis.cols) != tuple(coords):
+            return None
+        return out
 
     def intersect(self, other: "Subspace") -> "Subspace":
         return Subspace(self.parent, intersect_row_spaces(self.basis, other.basis))
@@ -807,7 +819,8 @@ def centralizer_in(x: Element, v: Subspace) -> Subspace:
         raise DomainError("element and subspace live in different algebras")
     if v.dim == 0:
         return v
-    images = tuple(g.bracket(x, Element._trusted(g, row)).coords for row in v.basis.entries)
+    scaled_x = _scaled_nonzeros(x.coords)  # once for all the rows of v
+    images = tuple(g._bracket_scaled(scaled_x, row) for row in v.basis.entries)
     ker = nullspace(RationalMatrix._trusted(images).transpose())
     if not ker.rows:
         return Subspace(g, RationalMatrix.zero(0, g.dim))

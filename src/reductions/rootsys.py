@@ -10,7 +10,6 @@ criterion for the variety of abelian subalgebras.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from .errors import DomainError, InternalCheckError
@@ -279,21 +278,6 @@ def canonical_survivors():
 
 # ---------------------------------------------------------------------------
 # abelian sets of positive roots
-
-
-class AbelianRootSet:
-    """A set of positive roots no two of which sum to a root."""
-
-    def __init__(self, system: RootSystem, roots):
-        self.system = system
-        self.roots = frozenset(tuple(r) for r in roots)
-        for a, b in itertools.combinations(self.roots, 2):
-            s = tuple(x + y for x, y in zip(a, b))
-            if system.is_root(s):
-                raise DomainError("two members sum to a root")
-
-    def __len__(self):
-        return len(self.roots)
 
 
 def max_abelian_root_sets(type_: str, rank: int, count_classes=True):

@@ -16,7 +16,6 @@ from reductions.analysis import (
     _adjugate_coefficients,
     all_signatures,
     centralizer_map,
-    coarse_invariants,
     decomposition_signature,
     double_centralizer,
     is_regular,
@@ -254,14 +253,6 @@ def test_genericity_rule_is_a_partial_order():
                 for c in sigs:
                     if signature_is_degeneration(b, c):
                         assert signature_is_degeneration(a, c)
-
-
-def test_coarse_invariants():
-    pair = square_of("sl3")
-    x = square_element(pair, D(1, 1, -2))
-    assert coarse_invariants(pair, x) == (4, 4)
-    reg = square_element(pair, D(1, 2, -3))
-    assert coarse_invariants(pair, reg) == (2, 2)
 
 
 # -- subvarieties

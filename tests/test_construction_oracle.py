@@ -4,8 +4,9 @@
 run over the nonzeros of the structure table and of the matrices,
 ``LieAlgebra.bracket``, ``LieAlgebra.realize``,
 ``SymmetricPair.from_p_coords`` and ``centralizer_in`` over integer rows
-with one common denominator, and ``exact.shifted`` subtracts a scalar on the diagonal
-alone.  Each is run
+with one common denominator, ``Subspace.coordinates_of`` reads the pivot
+columns of the echelon basis, and ``exact.shifted`` subtracts a scalar on
+the diagonal alone.  Each is run
 here next to the dense reference it replaced, kept verbatim below: the same
 verdict (the same first failing basis pair, the same message) on the
 criterion-2 pairs, on seeded involutions that are not automorphisms, on
@@ -20,7 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reductions.errors import DomainError, InternalCheckError
-from reductions.exact import LinearSolver, RationalMatrix, nullspace, rat, rref, shifted
+from reductions.exact import (
+    LinearSolver,
+    RationalMatrix,
+    coordinates_in_row_space,
+    nullspace,
+    rat,
+    rref,
+    shifted,
+)
 from reductions.liealg import (
     Element,
     LieAlgebra,
@@ -289,6 +298,17 @@ def test_from_p_coords_matches_the_fraction_fold(index, data):
     got = pair.from_p_coords(coords).coords
     assert got == dense_from_p_coords(pair, coords)
     assert all_fractions(got)
+    # back to p coordinates by the pivot columns, as solving over the rows
+    # of p does; off p, by a nonzero vector of k, there are none
+    back = pair.p.coordinates_of(got)
+    assert back == coordinates_in_row_space(pair.p.basis, got) == tuple(map(Fraction, coords))
+    assert all_fractions(back)
+    k_part = [data.draw(entries) for _ in range(pair.k.dim)]
+    off = tuple(a + sum(c * row[i] for c, row in zip(k_part, pair.k.basis.entries))
+                for i, a in enumerate(got))
+    if any(k_part):
+        assert pair.p.coordinates_of(off) is None
+        assert coordinates_in_row_space(pair.p.basis, off) is None
 
 
 @settings(max_examples=10, deadline=None)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from reductions.errors import DomainError, InternalCheckError
-from reductions.exact import RationalMatrix, rat
+from reductions.exact import LaurentSeries, RationalMatrix, SeriesMatrix, rat
 from reductions.liealg import Subspace, classify_element
 from reductions.pairs import k_nilpotent_elements, make_transpose_pair, square_of
 from reductions.planes import (
@@ -17,6 +17,7 @@ from reductions.planes import (
 from reductions.degeneration import (
     GroupCurve,
     MonomialCurve,
+    VectorCurve,
     class_closure_sample,
     curve_from_cayley,
     curve_from_generators,
@@ -29,7 +30,6 @@ from reductions.degeneration import (
     magnitude_flag,
     magnitude_order,
     non_adapted_additivity_fails,
-    reparametrize,
     stabilizer_dimension,
     tempered_element_limit,
 )
@@ -308,18 +308,40 @@ def test_cayley_curve_transpose_pair():
     assert limit != a or magnitude_flag(curve, a).size == 1
 
 
+def _reparametrized(matrix: SeriesMatrix, c) -> VectorCurve:
+    """t -> t/(1 - ct) substituted into the Laurent-polynomial matrix M,
+    times (1 - ct)^K, K the largest positive exponent of M: the entry
+    a·t^k becomes a·t^k·(1 - ct)^(K - k), a Laurent polynomial again, and
+    the whole is M(t/(1 - ct)) times a scalar unit with constant term 1."""
+    exps = [k for row in matrix.entries for e in row for k, a in enumerate(e.coeffs, e.val) if a]
+    top = max([0, *exps])
+    powers = [LaurentSeries.constant(1)]
+    for _ in range(top - min([0, *exps])):
+        powers.append(powers[-1] * LaurentSeries(0, [1, -c]))
+
+    def substituted(e):
+        acc = LaurentSeries.zero()
+        for k, a in enumerate(e.coeffs, e.val):
+            if a:
+                acc = acc + (powers[top - k] * a).shift(k)
+        return acc
+
+    return VectorCurve(SeriesMatrix([[substituted(e) for e in row] for row in matrix.entries]))
+
+
 def test_reparametrization_invariance():
     pair = square_of("sl2")
     e_diag = diag_k_element(pair, E(2, 0, 1))
     curve = curve_from_generators(pair, [(e_diag, -1)])
     a = cartan_plane(pair)
     base = limit_plane(curve, a)
-    for coeffs in ([Fraction(1, 2)], [2, 3], [0, 0, 1]):
-        again = limit_plane(reparametrize(curve, coeffs), a)
-        assert again == base
     toy_base = limit_computation(TOY, TOY_PLANE).plane
-    toy_again = limit_computation(reparametrize(TOY, [1]), TOY_PLANE).plane
-    assert toy_again.entries == toy_base.entries
+    for c in (Fraction(1, 2), 2, -3):
+        moved = _reparametrized(curve.p_matrix(), c)
+        assert moved.matrix.entries != curve.p_matrix().entries
+        assert limit_plane(moved, a) == base
+        toy_again = limit_computation(_reparametrized(TOY.matrix, c), TOY_PLANE).plane
+        assert toy_again.entries == toy_base.entries
 
 
 def test_flag_membership_matches_direct_omega():
@@ -434,16 +456,14 @@ def test_tempered_frame_obstruction_surfaced():
     # profile: constant combinations max out at omega (-5, -4) while the
     # invariant factors are (-5, -3).  The limit must still be computed (via
     # the series-adapted frame) and the instance surfaced, not patched.
-    from reductions.degeneration import PolynomialCurve
-    from reductions.exact import valuation_adapted_reduce
-
     a, b = rat(2), rat(3)
+    z = LaurentSeries.zero()
     entries = [
-        [{-5: rat(1)}, {-5: a, -4: b}, {0: rat(1)}],
-        [{0: rat(1)}, {0: a, 1: b}, {}],
-        [{}, {-3: rat(1)}, {}],
+        [LaurentSeries(-5, [1]), LaurentSeries(-5, [a, b]), LaurentSeries(0, [1])],
+        [LaurentSeries(0, [1]), LaurentSeries(0, [a, b]), z],
+        [z, LaurentSeries(-3, [1]), z],
     ]
-    curve = PolynomialCurve(entries)
+    curve = VectorCurve(SeriesMatrix(entries))
     plane = RationalMatrix([[1, 0, 0], [0, 1, 0]])
     flag = magnitude_flag(curve, plane)
     assert flag.jumps == [-5, -4]
@@ -476,20 +496,12 @@ def test_group_curve_obstruction_instances_still_agree_with_oracle():
     assert surfaced == 1  # obstruction instances are legitimate; this seed has one
 
 
-def test_limit_needing_more_than_16_inverse_terms_resolves_after_one_escalation(monkeypatch):
-    # square(sp4), exponents -8: the series-adapted frame inverts pivots of
-    # valuation -24, so 16 terms of their inverses cannot decide the module
-    # profile and the limit computation has to double its budget once
-    import reductions.degeneration as degeneration
+def test_square_sp4_limit_at_exponent_minus_8_inverts_no_series(monkeypatch):
+    # square(sp4), exponents -8: the series-adapted frame meets pivots of
+    # valuation -24, where 16 terms of their inverses could not decide the
+    # module profile; the fraction-free reduction inverts nothing
+    from test_exact_oracle import _count_inverses
 
-    tried = []
-    once = degeneration._limit_once
-
-    def recording(curve, plane, budget, moving):
-        tried.append(budget)
-        return once(curve, plane, budget, moving)
-
-    monkeypatch.setattr(degeneration, "_limit_once", recording)
     pair = square_of("sp4")
     y1 = [rat(0)] * pair.g.dim
     y1[1] = y1[11] = rat(-2)
@@ -500,20 +512,21 @@ def test_limit_needing_more_than_16_inverse_terms_resolves_after_one_escalation(
     )
     plane = plane_from_basis(pair, [[1, 0, 0, 0, 4, -2, 0, 0, 0, 0],
                                     [0, 0, 0, 1, 0, -2, 0, 0, 0, 0]])
+    calls = _count_inverses(monkeypatch)
     comp = limit_computation(curve, plane)
-    assert tried == [16, 32]  # the budgets tried
+    assert calls == []
     assert not comp.constant_frame_ok
     assert comp.surfaced["module_profile"] == [-24, -8]
     assert comp.surfaced["flag_profile"] == [-24, -16]
 
 
 def test_series_inverse_keeps_the_curve_budget():
-    # the p-matrix of a curve built at budget 64 is exact; inverting it at
-    # order 64 must give about 64 terms, not fall back to 16
+    # the p-matrix of a curve is exact; inverting it at order 64 must give
+    # about 64 terms, not fall back to 16
     pair = make_transpose_pair(3)
     k0, k1, _ = pair.k.basis_elements()
-    curve = curve_from_cayley(pair, [(k0 + k1 * rat(2), -1)], budget=64, validate=False)
-    inverse = curve.p_matrix(64).inverse(64)
+    curve = curve_from_cayley(pair, [(k0 + k1 * rat(2), -1)], validate=False)
+    inverse = curve.p_matrix().inverse(64)
     assert min(e.prec for row in inverse.entries for e in row) >= 60
 
 
@@ -574,20 +587,6 @@ def test_class_closure_sl2():
     assert report.source == decomposition_signature(pair, h)
     assert reg_nilp in report.reached
     assert report.source in report.reached  # identity curve
-
-
-def test_polynomial_curve_coerces_int_coefficients():
-    # user-supplied dicts go through the coercing constructor: an int
-    # coefficient must not survive into a series, where 1 / c would be a float
-    from reductions.degeneration import PolynomialCurve
-
-    curve = PolynomialCurve([[{0: 1, 1: 2}, {-1: 3}], [{}, {0: -1}]])
-    fwd, bwd = curve.matrices()
-    assert fwd.entries[0][0].coeffs == (1, 2)
-    for m in (fwd, bwd):
-        for row in m.entries:
-            for e in row:
-                assert all(type(c) is Fraction for c in e.coeffs)
 
 
 def test_magnitude_order_reads_plain_vectors_in_p_coordinates():

@@ -231,13 +231,12 @@ def test_series_inverse_of_monomial_exact():
     assert inv.is_exact() and inv.val == -3 and inv.coeffs == (rat(1, 2),)
 
 
-def test_series_reparametrization():
-    s = LaurentSeries(-1, [1, 0, 1])  # t^-1 + t
-    unit = LaurentSeries(0, [1, 1])  # 1 + t
-    r = s.substitute_scaled(unit)
-    # t^-1 -> (t(1+t))^-1 = t^-1 (1 - t + t^2 - ...)
-    assert r.coeff_at(-1) == 1
-    assert r.coeff_at(0) == -1
+def test_series_constructor_coerces_int_coefficients():
+    # an int coefficient must not survive into a series, where 1 / c would
+    # be a float
+    s = LaurentSeries(-1, [3, 0, 2])
+    assert s.coeffs == (3, 0, 2)
+    assert all(type(c) is Fraction for c in s.coeffs)
 
 
 def test_min_valuation_guards_tracked_zero():
@@ -302,6 +301,13 @@ def test_reduce_rank_deficiency():
     t = LaurentSeries.t_power(1)
     m = _series_mat([[t, t], [t, t]], 2)
     with pytest.raises(RankDeficiencyError):
+        valuation_adapted_reduce(m)
+
+
+def test_reduce_rejects_truncated_entries():
+    one = LaurentSeries.constant(1)
+    m = SeriesMatrix([[one, LaurentSeries(0, [1, 2], prec=3)], [one.shift(1), one]])
+    with pytest.raises(DomainError):
         valuation_adapted_reduce(m)
 
 

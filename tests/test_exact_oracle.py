@@ -4,7 +4,10 @@ The rational linear algebra (products, fraction-free elimination, the
 vector-lcm minimal polynomial) is checked against sympy, which serves as an
 oracle here and nowhere in the package.  The series products, which run
 over integer coefficients, are checked against the schoolbook fold they
-replace: equal val, coeffs and prec.  And every entry that comes
+replace: equal val, coeffs and prec.  The fraction-free
+valuation-adapted reduction is checked against the reduction by truncated
+pivot inverses it replaced: the same pivots, valuations and leading
+coefficients up to a scalar.  And every entry that comes
 out of an internal constructor must be a ``Fraction``: an ``int`` would
 compare and hash equal, yet turn ``1 / x`` into a float.
 """
@@ -23,6 +26,7 @@ from reductions.degeneration import GroupCurve, _restrict_to_p
 from reductions.errors import DomainError, PrecisionError, RankDeficiencyError
 from reductions.exact import (
     DEFAULT_BUDGET,
+    ColumnReduction,
     LaurentSeries,
     LinearSolver,
     RationalMatrix,
@@ -39,6 +43,7 @@ from reductions.exact import (
     rref,
     row_space,
     solve,
+    valuation_adapted_reduce,
 )
 from reductions.pairs import k_nilpotent_elements, make_transpose_pair, square_of
 
@@ -473,30 +478,6 @@ def test_kernels_match_folds(terms, pairs, update):
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    s=kernel_series(),
-    tail=st.lists(small, max_size=3),
-    unit_prec=st.one_of(st.none(), st.integers(1, 6)),
-    order=st.sampled_from([4, 8, DEFAULT_BUDGET, 32]),
-)
-def test_substitution_matches_fold(s, tail, unit_prec, order):
-    unit = LaurentSeries(0, [1, *tail], unit_prec)
-    if s.is_zero():
-        return
-    powers = {0: LaurentSeries.constant(1)}
-    for k in range(1, abs(s.val) + len(s.coeffs) + 1):
-        powers[k] = _ref_mul(powers[k - 1], unit)
-        powers[-k] = _ref_mul(powers[-k + 1], unit.inverse(order))
-    ref = LaurentSeries.zero()
-    for k, c in enumerate(s.coeffs, s.val):
-        if c != 0:
-            ref = _ref_add(ref, _ref_scaled_sum([(powers[k].shift(k), c)]))
-    if s.prec is not None:
-        ref = ref.truncate(s.prec)
-    assert _state(s.substitute_scaled(unit, order)) == _state(ref)
-
-
-@settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_series_matrix_products_match_folds(data):
     r, k, c = (data.draw(st.integers(1, 3)) for _ in range(3))
@@ -542,6 +523,148 @@ def test_minor_and_inverse_match_folds(data):
     assert _states(got.entries) == _states(ref) if kind == "value" else got is ref
 
 
+# -- the valuation-adapted reduction against the one by truncated pivot
+# inverses it replaced
+
+
+def _ref_adapted_reduce(matrix, order=DEFAULT_BUDGET):
+    """Column reduction with minimal-valuation pivots (lowest row, then
+    lowest column on ties), each pivot inverted to ``order`` terms and its
+    multiples subtracted from the other columns."""
+    work = [list(col) for col in zip(*matrix.entries)]  # list of columns
+    ncols = len(work)
+    nrows = matrix.rows
+    if ncols == 0:
+        empty = SeriesMatrix.identity(0)
+        return ColumnReduction(empty, matrix, [], []), []
+    transform = [list(col) for col in zip(*SeriesMatrix.identity(ncols).entries)]
+    used_rows = set()
+    pivot_rows = []
+    pivot_vals = []
+    for k in range(ncols):
+        best = None  # (val, row, col)
+        blocked = None
+        for j in range(k, ncols):
+            for r in range(nrows):
+                if r in used_rows:
+                    continue
+                e = work[j][r]
+                if e.is_zero():
+                    if not e.is_exact():
+                        blocked = max(blocked or e.prec, e.prec) if blocked else e.prec
+                    continue
+                key = (e.valuation(), r, j)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            if blocked is not None:
+                raise PrecisionError("cannot locate a pivot: remaining entries are zero so far")
+            raise RankDeficiencyError("matrix does not have full column rank")
+        v, prow, pcol = best
+        if blocked is not None and blocked <= v:
+            raise PrecisionError(f"tracked zero below t^{blocked} could precede pivot t^{v}")
+        if pcol != k:
+            work[k], work[pcol] = work[pcol], work[k]
+            transform[k], transform[pcol] = transform[pcol], transform[k]
+        pinv = work[k][prow].inverse(order)
+        pivot_col = [_prepared(b) for b in work[k]]
+        pivot_transform = [_prepared(b) for b in transform[k]]
+        for j in range(ncols):
+            if j == k:
+                continue
+            e = work[j][prow]
+            if e.is_zero() and e.is_exact():
+                continue
+            q = e * pinv
+            work[j] = _eliminate(work[j], q, pivot_col)
+            transform[j] = _eliminate(transform[j], q, pivot_transform)
+        used_rows.add(prow)
+        pivot_rows.append(prow)
+        pivot_vals.append(v)
+    reduced = SeriesMatrix._trusted(tuple(zip(*work)))
+    tmat = SeriesMatrix._trusted(tuple(zip(*transform)))
+    return ColumnReduction(tmat, reduced, pivot_rows, pivot_vals), list(pivot_vals)
+
+
+def _leading_vectors(record, pivots):
+    """Per reduced column, its coefficients at its pivot valuation."""
+    red = record.reduced
+    return [[red.entries[i][j].coeff_at(v) for i in range(red.rows)] for j, v in enumerate(pivots)]
+
+
+def _ref_reduce_outcome(m):
+    """The reference at orders doubled until it decides (the retry its
+    callers made), as ("value", (pivot rows, valuations, leading vectors))
+    or ("error", the error class)."""
+    for order in (16, 32, 64, 128, 256):
+        try:
+            record, pivots = _ref_adapted_reduce(m, order)
+            return "value", (record.pivot_rows, pivots, _leading_vectors(record, pivots))
+        except RankDeficiencyError:
+            return "error", RankDeficiencyError
+        except PrecisionError:
+            continue
+    return "error", PrecisionError
+
+
+def _rank_over_series_field(m):
+    """Rank over Q((t)) of a Laurent-polynomial matrix: the largest rank of
+    its values at t = 1, ..., 40.  A nonzero minor here is t^a times a
+    polynomial of degree below 40, so it vanishes at fewer of these points."""
+    best = 0
+    for t in range(1, 41):
+        value = RationalMatrix([
+            [sum((c * Fraction(t) ** k for k, c in enumerate(e.coeffs, e.val)), Fraction(0))
+             for e in row]
+            for row in m.entries
+        ])
+        best = max(best, rank(value))
+    return best
+
+
+@st.composite
+def laurent_polynomials(draw):
+    if draw(st.integers(0, 3)) == 0:
+        return LaurentSeries.zero()
+    coeffs = draw(st.lists(st.one_of(st.just(0), small), min_size=1, max_size=3))
+    return LaurentSeries(draw(st.integers(-3, 3)), coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fraction_free_reduce_matches_the_inverse_based_one(data):
+    c = data.draw(st.integers(1, 3))
+    r = data.draw(st.integers(max(1, c - 1), 4))
+    cols = [[data.draw(laurent_polynomials()) for _ in range(r)] for _ in range(c)]
+    if c > 1 and data.draw(st.booleans()):
+        # a column that is a series multiple of another: rank deficient
+        f = data.draw(laurent_polynomials())
+        cols[-1] = [f * e for e in cols[0]]
+    m = SeriesMatrix([list(row) for row in zip(*cols)])
+    full_rank = _rank_over_series_field(m) == c
+    ref_kind, ref = _ref_reduce_outcome(m)
+    try:
+        record, pivots = valuation_adapted_reduce(m)
+    except RankDeficiencyError:
+        assert not full_rank
+        # truncated inverses leave tracked zeros where the columns depend,
+        # so the reference may only report that it cannot decide
+        assert ref_kind == "error"
+        return
+    assert full_rank and ref_kind == "value"
+    ref_rows, ref_pivots, ref_leading = ref
+    assert record.pivot_rows == ref_rows
+    assert pivots == record.pivot_valuations == ref_pivots
+    for got, want in zip(_leading_vectors(record, pivots), ref_leading):
+        i = next(i for i, x in enumerate(want) if x)
+        scale = got[i] / want[i]
+        assert scale and got == [scale * x for x in want]
+    assert record.transform.det().valuation() == 0
+    assert all(e.is_exact() for row in record.reduced.entries for e in row)
+    product = m * record.transform
+    assert _states(product.entries) == _states(record.reduced.entries)
+
+
 # Curves built through the folds: exponential and Cayley moves, composed by
 # series products, conjugated through the realization and restricted to p.
 
@@ -569,7 +692,7 @@ def _ref_poly_exp(powers, exponent, sign):
     return out
 
 
-def _ref_exp_move(pair, y, exponent, budget):
+def _ref_exp_move(pair, y, exponent, order):
     ad = pair.g.ad(y)
     powers = [RationalMatrix.identity(pair.g.dim)]
     while not powers[-1].is_zero():
@@ -597,7 +720,7 @@ def _ref_conjugation(pair, q, q_inv):
     return [list(row) for row in zip(*cols)]
 
 
-def _ref_cayley_move(pair, y, exponent, budget):
+def _ref_cayley_move(pair, y, exponent, order):
     real = pair.g.realize(y)
     n = real.rows
     scaled = SeriesMatrix(
@@ -610,12 +733,12 @@ def _ref_cayley_move(pair, y, exponent, budget):
         ]
     )
     eye = SeriesMatrix.identity(n)
-    q = _ref_matmul((eye + scaled).entries, _ref_inverse((eye - scaled).entries, budget))
-    q_inv = _ref_matmul((eye - scaled).entries, _ref_inverse((eye + scaled).entries, budget))
+    q = _ref_matmul((eye + scaled).entries, _ref_inverse((eye - scaled).entries, order))
+    q_inv = _ref_matmul((eye - scaled).entries, _ref_inverse((eye + scaled).entries, order))
     return _ref_conjugation(pair, q, q_inv), _ref_conjugation(pair, q_inv, q)
 
 
-def _ref_torus_move(pair, weights, budget):
+def _ref_torus_move(pair, weights, order):
     n = pair.g.realization[0].rows
     weights = tuple(weights) * (n // len(weights))  # a square repeats its torus
 
@@ -642,13 +765,13 @@ def _ref_restrict_to_p(pair, fwd):
     return [[img[c] for img in images] for c in pivots]
 
 
-def _ref_curve(pair, moves, budget):
+def _ref_curve(pair, moves, order):
     """The g-level matrices, their restriction to p, and the product of the
     moves' p-blocks."""
     fwd = bwd = SeriesMatrix.identity(pair.g.dim).entries
     p_blocks = SeriesMatrix.identity(pair.p.dim).entries
     for kind, *args in moves:
-        mf, mb = _REF_MOVES[kind](pair, *args, budget)
+        mf, mb = _REF_MOVES[kind](pair, *args, order)
         fwd = _ref_matmul(fwd, mf)
         bwd = _ref_matmul(mb, bwd)
         p_blocks = _ref_matmul(p_blocks, _ref_restrict_to_p(pair, mf))
@@ -687,26 +810,26 @@ def _assert_scaled_fold(scale, got, ref):
             assert diff.is_zero() and diff.prec == b.prec
 
 
-@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 32])
+@pytest.mark.parametrize("order", [DEFAULT_BUDGET, 32])
 @pytest.mark.parametrize(
     "name", ["square(sl3)", "transpose3", "square(sl2)", "square(sp4)", "transpose4"]
 )
-def test_curves_match_fold_built_curves(name, budget):
+def test_curves_match_fold_built_curves(name, order):
     # the p-matrix is built before any g-level read, so it comes from the
     # p-only build: the product of the moves' p-blocks.  Past one Cayley move
     # the g-level product restricted to p tracks less precision, so there
     # only the product of the fold-built p-blocks is the reference.  Exp and
     # torus moves are built as the folds build them; a curve with a Cayley
     # move is built exact as w times the curve, w its scale, and the folds
-    # truncate its inverses at the budget.
+    # truncate its inverses at ``order``.
     pair, curves = _curves(name)
     assert len(curves[0]) == 2
     for moves in curves:
-        ref_fwd, ref_bwd, ref_restricted, ref_p = _ref_curve(pair, moves, budget)
+        ref_fwd, ref_bwd, ref_restricted, ref_p = _ref_curve(pair, moves, order)
         if sum(kind == "cayley" for kind, *_ in moves) < 2:
             assert _states(ref_p) == _states(ref_restricted)
         for validate in (False, True):
-            curve = GroupCurve(pair, moves, budget, validate)
+            curve = GroupCurve(pair, moves, validate)
             p_matrix = curve.p_matrix()
             fwd, bwd = curve.matrices()
             if any(kind == "cayley" for kind, *_ in moves):
@@ -730,11 +853,9 @@ def test_sampled_curves_p_matrix_matches_restricted_g_matrix(name):
         curve = _sample_curve(pair, rng)
         if curve is None:
             continue
-        for budget in (DEFAULT_BUDGET, 32):
-            p_matrix = curve.p_matrix(budget)
-            oracle = _restrict_to_p(pair, curve.matrices(budget)[0])
-            assert _states(p_matrix.entries) == _states(oracle.entries)
-            built += 1
+        oracle = _restrict_to_p(pair, curve.matrices()[0])
+        assert _states(curve.p_matrix().entries) == _states(oracle.entries)
+        built += 1
     assert built
 
 
@@ -797,11 +918,14 @@ def _count_inverses(monkeypatch):
 
 
 def test_group_curve_builds_invert_no_series(monkeypatch):
-    # the benchmark's seed-42 limits pool, drawn by its own generator, and
+    # the benchmark's seed-42 limits pool, drawn by its own generator, with
+    # its limits and rigidity checks, obstructed instances included, and
     # acceptance-sampled curves on its four pairs, built and validated
     import os
 
+    from reductions.degeneration import limit_computation, rigidity_check
     from reductions.liealg import Element
+    from reductions.planes import plane_from_basis
 
     bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
     monkeypatch.syspath_prepend(bench)
@@ -810,6 +934,7 @@ def test_group_curve_builds_invert_no_series(monkeypatch):
     pool = gen.gen_limits(42, gen.UNITS["limits"])
     calls = _count_inverses(monkeypatch)
     kinds = set()
+    obstructed = rigidity = 0
     for op in pool:
         pair = gen.build_pair(op["pair"])
         spec = op["curve"]
@@ -818,7 +943,14 @@ def test_group_curve_builds_invert_no_series(monkeypatch):
         kinds.add(spec["kind"])
         curve = GroupCurve(pair, moves, validate=False)
         assert all(e.is_exact() for row in curve.p_matrix().entries for e in row)
+        plane = plane_from_basis(pair, [[Fraction(c) for c in row] for row in op["plane"]])
+        obstructed += not limit_computation(curve, plane).constant_frame_ok
+        if op["rigidity"] is not None:
+            cartan = plane_from_basis(pair, [[Fraction(c) for c in row] for row in op["rigidity"]])
+            rigidity_check(curve, cartan)
+            rigidity += 1
     assert kinds == {"exp", "cayley"} and len(pool) == 4 * gen.UNITS["limits"]
+    assert obstructed and rigidity
     for name in gen.LIMIT_PAIRS:
         pair = gen.build_pair(name)
         rng = random.Random(5)

@@ -4,7 +4,6 @@ import pytest
 
 from reductions.errors import DomainError
 from reductions.rootsys import (
-    AbelianRootSet,
     build_root_system,
     canonical_survivors,
     infinite_orbit_types,
@@ -77,13 +76,6 @@ def test_survivor_exclusions():
     assert n2 == 10 and n2 > bound  # excluded
     n2, _, bound = table1_row("B", 3)
     assert n2 == 9 and bound == 8  # excluded
-
-
-def test_abelian_root_set_invariant():
-    rs = build_root_system("A", 2)
-    AbelianRootSet(rs, [rs.positive[0]])
-    with pytest.raises(DomainError):
-        AbelianRootSet(rs, [(1, 0), (0, 1)])  # sums to the highest root
 
 
 def test_max_abelian_g2():
