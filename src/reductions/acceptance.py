@@ -16,9 +16,10 @@ import zlib
 from fractions import Fraction
 
 from .errors import DomainError, InternalCheckError
-from .exact import RationalMatrix, rat
+from .exact import RationalMatrix, combine_rows, rank, rat
 from .liealg import Element
 from .pairs import (
+    derived_pair_maps,
     k_nilpotent_elements,
     make_transpose_pair,
     sample_k_automorphism,
@@ -51,7 +52,9 @@ from .analysis import (
 from .degeneration import (
     GroupCurve,
     MonomialCurve,
+    _random_k_element,
     class_closure_sample,
+    companion_translate,
     curve_from_cayley,
     curve_from_generators,
     curve_from_torus,
@@ -122,15 +125,9 @@ def _sample_curve(pair, rng) -> GroupCurve | None:
     if nils:
         gens = [(y, rng.choice([-1, -1, -2])) for y in nils]
         return curve_from_generators(pair, gens, validate=False)
-    y = None
     for _ in range(20):
-        coords = [rat(rng.randint(-2, 2)) for _ in range(pair.k.dim)]
-        cand = pair.g.zero()
-        for c, row in zip(coords, pair.k.basis.entries):
-            if c != 0:
-                cand = cand + c * Element(pair.g, row)
-        if not cand.is_zero():
-            y = cand
+        y = _random_k_element(pair, rng)
+        if y is not None:
             break
     if y is None:
         return None
@@ -147,11 +144,7 @@ def _sample_abelian_plane(pair, rng, kernels, allow_limits=True) -> Plane:
                 return plane_from_basis(pair, [coords])
         raise InternalCheckError("sampler failed to draw a nonzero line")
     if route < 0.35:
-        auto = sample_k_automorphism(pair, rng)
-        a = cartan_plane(pair)
-        return plane_from_basis(
-            pair, [Element(pair.g, auto.apply(x.coords)) for x in a.basis_elements()]
-        )
+        return _moved_plane(pair, rng, cartan_plane(pair))
     if route < 0.75:
         sk = rng.choice(kernels)
         fam = GammaFamily(pair, sk.kernel, sk.centralizer_in_p, r)
@@ -159,21 +152,14 @@ def _sample_abelian_plane(pair, rng, kernels, allow_limits=True) -> Plane:
     if route < 0.9 or not allow_limits:
         # kernel plus a single weight vector: lands on both sides of the quadric
         sk = rng.choice(kernels)
-        data = pair.roots()
-        alpha = sk.root
-        w_els = data.p_alpha[alpha].basis_elements()
+        p_alpha = pair.roots().p_alpha[sk.root]
         for _ in range(16):
-            coords = [rat(rng.randint(-2, 2)) for _ in w_els]
-            vec = pair.g.zero()
-            for c, e in zip(coords, w_els):
-                vec = vec + c * e
+            coords = [rng.randint(-2, 2) for _ in range(p_alpha.dim)]
+            vec = Element._trusted(pair.g, combine_rows(coords, p_alpha.basis))
             if vec.is_zero():
                 continue
-            rows = [list(pair.to_p_coords(Element(pair.g, row))) for row in sk.kernel.basis.entries]
             try:
-                return plane_from_basis(
-                    pair, [pair.from_p_coords(rw) for rw in rows] + [vec]
-                )
+                return plane_from_basis(pair, sk.kernel.basis_elements() + [vec])
             except DomainError:
                 continue
         sk = kernels[0]
@@ -183,6 +169,14 @@ def _sample_abelian_plane(pair, rng, kernels, allow_limits=True) -> Plane:
     if curve is None:
         return cartan_plane(pair)
     return limit_plane(curve, cartan_plane(pair))
+
+
+def _moved_plane(pair, rng, plane) -> Plane:
+    """The plane moved by a sampled automorphism of the fixed group."""
+    auto = sample_k_automorphism(pair, rng)
+    return plane_from_basis(
+        pair, [Element._trusted(pair.g, auto.apply(x.coords)) for x in plane.basis_elements()]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +267,7 @@ def criterion_3_quadric(seed, planes_per_pair=1000):
                 continue
             gram_zero = exterior_killing_value(plane) == 0
             smat = semisimple_part_matrix(plane)
-            from .exact import rank as mat_rank
-
-            has_nilp = mat_rank(smat) < plane.dim
+            has_nilp = rank(smat) < plane.dim
             if gram_zero != has_nilp:
                 mism += 1
             else:
@@ -402,11 +394,7 @@ def criterion_6_rigidity(seed, per_pair=50):
             if curve is None:
                 continue
             if done % 3 == 2:  # every third run degenerates a moved Cartan subspace
-                auto = sample_k_automorphism(pair, rng)
-                a = plane_from_basis(
-                    pair,
-                    [Element(pair.g, auto.apply(x.coords)) for x in canonical.basis_elements()],
-                )
+                a = _moved_plane(pair, rng, canonical)
             else:
                 a = canonical
             report = rigidity_check(curve, a)  # hard error on any violated clause
@@ -443,8 +431,6 @@ def criterion_7_subvarieties(seed, samples=12):
         for sk in singular_kernels(pair)[:2]:
             sv = make_subvariety(pair, sk.kernel)
             equal_rank = sv.centralizer_pair.rank == pair.rank
-            from .pairs import derived_pair_maps
-
             maps = derived_pair_maps(sv.centralizer_pair)
             roundtrips = 0
             limit_members = 0
@@ -665,8 +651,6 @@ def criterion_10_evidence(seed, descent_runs=6, closure_samples=30):
             if not signature_is_degeneration(sig, target):
                 rule_violations.append((sig, target))
     # enrich with the staircase translate of each regular representative
-    from .degeneration import companion_translate
-
     for sig in sigs:
         rep = signature_representative(pair, sig)
         try:

@@ -33,8 +33,16 @@ from .liealg import (
 from .pairs import (
     SymmetricPair,
     restrict_pair,
+    square_of,
 )
-from .planes import Plane, PluckerVector, is_anisotropic_subalgebra, plane_from_subspace
+from .planes import (
+    Plane,
+    PluckerVector,
+    is_anisotropic_subalgebra,
+    is_cj_closed,
+    plane_from_basis,
+    plane_from_subspace,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -480,8 +488,6 @@ def nonalgebraic_witness(n: int) -> tuple:
     """
     if n < 5:
         raise DomainError("the construction needs rank at least 4")
-    from .pairs import square_of
-
     pair = square_of(f"sl{n}")
     r = n - 1
     s_left = [[_ZERO] * n for _ in range(n)]
@@ -504,16 +510,12 @@ def nonalgebraic_witness(n: int) -> tuple:
     vectors = [pair.g.from_realization(_antidiagonal_realization(pair, s_mat + ms[0]))]
     for m in ms[1:]:
         vectors.append(pair.g.from_realization(_antidiagonal_realization(pair, m)))
-    from .planes import plane_from_basis
-
     plane = plane_from_basis(pair, vectors)
     s_el = pair.g.from_realization(_antidiagonal_realization(pair, s_mat))
     if not is_anisotropic_subalgebra(plane):
         raise InternalCheckError("witness plane is not abelian")
     if plane.contains(s_el):
         raise InternalCheckError("witness plane unexpectedly contains the semisimple part")
-    from .planes import is_cj_closed
-
     if is_cj_closed(plane):
         raise InternalCheckError("witness plane is unexpectedly CJ-closed")
     return pair, plane, s_el

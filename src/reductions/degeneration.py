@@ -32,7 +32,13 @@ from .errors import (
     IrrationalSpectrumError,
     RankDeficiencyError,
 )
-from .analysis import _adjugate_coefficients
+from .analysis import (
+    _adjugate_coefficients,
+    _antidiagonal_realization,
+    _square_factor_matrix,
+    decomposition_signature,
+    double_centralizer,
+)
 from .exact import (
     _EXACT_ONE,
     LaurentSeries,
@@ -41,20 +47,25 @@ from .exact import (
     SeriesMatrix,
     _prepared,
     _sum_of_scaled,
+    combine_rows,
+    coordinates_in_row_space,
+    intersect_row_spaces,
     min_valuation,
     nullspace,
     rat,
     row_space,
     rref,
+    solve,
     valuation_adapted_reduce,
 )
 from .liealg import Element, Subspace, classify_element, jordan_chevalley
-from .pairs import SymmetricPair, k_nilpotent_elements
+from .pairs import SymmetricPair, k_nilpotent_elements, sample_k_automorphism
 from .planes import (
     Plane,
     PluckerVector,
     is_anisotropic_subalgebra,
     semisimple_nilpotent_split,
+    semisimple_part_matrix,
 )
 
 _ZERO = Fraction(0)
@@ -513,15 +524,6 @@ def magnitude_flag(curve, plane) -> MagnitudeFlag:
     return _flag_from_moving(_moving_matrix(curve, basis), basis)
 
 
-def _combo_to_vector(combo, basis: RationalMatrix):
-    vec = [_ZERO] * basis.cols
-    for c, row in zip(combo, basis.entries):
-        if c != 0:
-            for i, e in enumerate(row):
-                vec[i] += c * e
-    return tuple(vec)
-
-
 def _extend_basis(smaller: RationalMatrix, larger: RationalMatrix):
     """Rows of larger completing a basis of smaller to one of larger."""
     rows = list(smaller.entries)
@@ -563,8 +565,6 @@ def _adapted_basis(flag: MagnitudeFlag, plane, split=None):
         for summand in split:
             rows = []
             for el in _subspace_rows(summand, plane):
-                from .exact import coordinates_in_row_space
-
                 combo = coordinates_in_row_space(basis, el)
                 if combo is None:
                     raise DomainError("split summand is not inside the plane")
@@ -588,8 +588,8 @@ def _adapted_basis(flag: MagnitudeFlag, plane, split=None):
         else:
             added = 0
             for summand in split_combos:
-                inner_deep = _intersect_rows(summand, deeper)
-                inner_level = _intersect_rows(summand, level)
+                inner_deep = intersect_row_spaces(summand, deeper)
+                inner_level = intersect_row_spaces(summand, level)
                 for row in _extend_basis(inner_deep, inner_level):
                     chosen.append((row, jumps[idx]))
                     added += 1
@@ -600,14 +600,6 @@ def _adapted_basis(flag: MagnitudeFlag, plane, split=None):
                 )
     chosen.sort(key=lambda t: t[1])
     return chosen
-
-
-def _intersect_rows(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    from .exact import intersect_row_spaces
-
-    if a.rows == 0 or b.rows == 0:
-        return RationalMatrix.zero(0, a.cols)
-    return intersect_row_spaces(a, b)
 
 
 def _subspace_rows(summand, plane):
@@ -665,7 +657,7 @@ def limit_computation(curve, plane) -> LimitComputation:
     moving = _moving_matrix(curve, basis)
     flag = _flag_from_moving(moving, basis)
     adapted = _adapted_basis(flag, plane)
-    vectors = RationalMatrix._trusted(tuple(_combo_to_vector(c, basis) for c, _ in adapted))
+    vectors = RationalMatrix._trusted(tuple(combine_rows(c, basis) for c, _ in adapted))
     moved = _moving_matrix(curve, vectors)
 
     # wedge additivity on every initial segment of the adapted basis; a
@@ -676,11 +668,7 @@ def limit_computation(curve, plane) -> LimitComputation:
     constant_frame_ok = True
     obstruction_stage = None
     for k in range(1, r + 1):
-        vals = []
-        for rows_idx in itertools.combinations(range(moved.rows), k):
-            m = moved.minor(rows_idx, tuple(range(k)))
-            vals.append(m)
-        wedge_val = min_valuation(vals)
+        wedge_val = min_valuation(list(_stage_minors(moved, k).values()))
         if wedge_val != sum(omegas[:k]):
             if wedge_val < sum(omegas[:k]):
                 raise InternalCheckError(
@@ -717,38 +705,35 @@ def limit_computation(curve, plane) -> LimitComputation:
         adapted = [(None, pival) for pival in pivots]
 
     # oracle route: leading coefficients of the Plücker coordinates
-    minors = {}
-    for rows_idx in itertools.combinations(range(moving.rows), r):
-        minors[rows_idx] = moving.minor(rows_idx, tuple(range(r)))
+    minors = _stage_minors(moving, r)
     wedge_val = min_valuation(list(minors.values()))
     oracle = {k: v.coeff_at(wedge_val) for k, v in minors.items()}
 
     if isinstance(plane, Plane):
         limit = Plane(plane.pair, frame_matrix)
         limit_pl = limit.plucker()
-        oracle_pl = PluckerVector(moving.rows, r, oracle)
-        if not limit_pl.proportional_to(oracle_pl):
-            raise InternalCheckError(
-                "tempered-frame limit disagrees with the Plücker-valuation oracle"
-            )
-        basis_data = [
-            (combo, om, plane.pair.from_p_coords(vec))
-            for (combo, om), vec in zip(adapted, tempered)
-        ]
-        return LimitComputation(
-            limit, basis_data, wedge_val, oracle, constant_frame_ok, surfaced, flag, moving
-        )
-
-    limit_rows = row_space(frame_matrix)
-    oracle_pl = PluckerVector(moving.rows, r, oracle)
-    if not PluckerVector.from_matrix(limit_rows).proportional_to(oracle_pl):
+        tempered = [plane.pair.from_p_coords(vec) for vec in tempered]
+    else:
+        limit = row_space(frame_matrix)
+        limit_pl = PluckerVector.from_matrix(limit)
+    if not limit_pl.proportional_to(PluckerVector(moving.rows, r, oracle)):
         raise InternalCheckError(
             "tempered-frame limit disagrees with the Plücker-valuation oracle"
         )
     basis_data = [(combo, om, vec) for (combo, om), vec in zip(adapted, tempered)]
     return LimitComputation(
-        limit_rows, basis_data, wedge_val, oracle, constant_frame_ok, surfaced, flag, moving
+        limit, basis_data, wedge_val, oracle, constant_frame_ok, surfaced, flag, moving
     )
+
+
+def _stage_minors(moved: SeriesMatrix, k: int) -> dict:
+    """The k×k minors of ``moved`` on its first k columns, keyed by their
+    row indices: the stage-k wedge of its first k columns."""
+    cols = tuple(range(k))
+    return {
+        rows_idx: moved.minor(rows_idx, cols)
+        for rows_idx in itertools.combinations(range(moved.rows), k)
+    }
 
 
 def non_adapted_additivity_fails(curve, plane) -> bool:
@@ -767,14 +752,11 @@ def non_adapted_additivity_fails(curve, plane) -> bool:
     j = omegas.index(max(omegas))
     combos = [list(c) for c, _ in adapted]
     combos[j] = [a + b2 for a, b2 in zip(combos[j], combos[i])]
-    vectors = RationalMatrix._trusted(tuple(_combo_to_vector(c, basis) for c in combos))
+    vectors = RationalMatrix._trusted(tuple(combine_rows(c, basis) for c in combos))
     moved = _moving_matrix(curve, vectors)
     spoiled = [min_valuation(col) for col in (moved.column(c) for c in range(len(combos)))]
     for k in range(1, len(combos) + 1):
-        vals = []
-        for rows_idx in itertools.combinations(range(moved.rows), k):
-            vals.append(moved.minor(rows_idx, tuple(range(k))))
-        if min_valuation(vals) != sum(spoiled[:k]):
+        if min_valuation(list(_stage_minors(moved, k).values())) != sum(spoiled[:k]):
             return True
     raise InternalCheckError(
         "non-adapted basis satisfied wedge additivity; "
@@ -852,7 +834,7 @@ def rigidity_check(curve: GroupCurve, plane: Plane) -> RigidityReport:
         adapted = _adapted_basis(comp.flag, plane, [s_span, n_span])
         semisimple_targets = []
         for combo, om in adapted:
-            vec = _combo_to_vector(combo, basis)
+            vec = combine_rows(combo, basis)
             source = pair.from_p_coords(vec)
             moved = cmat.apply(vec)
             target = pair.from_p_coords([s.coeff_at(om) for s in moved])
@@ -904,39 +886,38 @@ def rigidity_check(curve: GroupCurve, plane: Plane) -> RigidityReport:
     )
 
 
+def _order_rows(moving: SeriesMatrix) -> RationalMatrix:
+    """The coefficients of ``moving`` at t^j for every j <= 0, one block of
+    ``moving.rows`` rows per j, from the lowest order up to j = 0.  A
+    combination of the columns has no negative order exactly when every
+    block but the last annihilates it; the last block gives its value at
+    t = 0."""
+    j_min = min_valuation([e for row in moving.entries for e in row])
+    return RationalMatrix([
+        [e.coeff_at(j) for e in row]
+        for j in range(min(j_min, 0), 1)
+        for row in moving.entries
+    ])
+
+
 def _zero_order_witness(pair, moving: SeriesMatrix, basis, target: Element):
     """Solve for an element of the plane whose moving image has no negative
     orders and value the target at t = 0."""
-    from .exact import solve
-
-    target_p = pair.to_p_coords(target)
-    j_min = min_valuation([e for row in moving.entries for e in row])
-    rows = []
-    rhs = []
-    for j in range(min(j_min, 0), 1):
-        for d in range(moving.rows):
-            rows.append([moving.entries[d][i].coeff_at(j) for i in range(moving.cols)])
-            rhs.append(target_p[d] if j == 0 else Fraction(0))
-    combo = solve(RationalMatrix(rows), rhs)
+    rows = _order_rows(moving)
+    rhs = [_ZERO] * (rows.rows - moving.rows) + list(pair.to_p_coords(target))
+    combo = solve(rows, rhs)
     if combo is None:
         return None
-    vec = _combo_to_vector(combo, basis)
-    return pair.from_p_coords(vec)
+    return pair.from_p_coords(combine_rows(combo, basis))
 
 
 def _semisimplify_witness(pair, moving, basis, target, particular):
     """Move a witness through the solution space until it is semisimple."""
-    from .exact import nullspace as _ns
-
-    j_min = min_valuation([e for row in moving.entries for e in row])
-    rows = []
-    for j in range(min(j_min, 0), 1):
-        for d in range(moving.rows):
-            rows.append([moving.entries[d][i].coeff_at(j) for i in range(moving.cols)])
-    kernel = _ns(RationalMatrix(rows))
+    kernel = nullspace(_order_rows(moving))
+    base = pair.to_p_coords(particular)
     for scale in range(1, 8):
         for krow in kernel.entries:
-            vec = [a + scale * bci for a, bci in zip(pair.to_p_coords(particular), _combo_to_vector(krow, basis))]
+            vec = [a + scale * bci for a, bci in zip(base, combine_rows(krow, basis))]
             cand = pair.from_p_coords(vec)
             if classify_element(cand) == "semisimple":
                 return cand
@@ -1023,8 +1004,6 @@ def descend_to_closed(pair, plane: Plane, step_budget=12, seed=0, tries_per_step
 
 
 def _kernel_is_everything(plane: Plane) -> bool:
-    from .planes import semisimple_part_matrix
-
     return semisimple_part_matrix(plane).is_zero()
 
 
@@ -1045,11 +1024,8 @@ def _sample_degeneration_curve(pair, rng, allow_positive=False):
 
 
 def _random_k_element(pair, rng):
-    coords = [rat(rng.randint(-2, 2)) for _ in range(pair.k.dim)]
-    vec = pair.g.zero()
-    for c, row in zip(coords, pair.k.basis.entries):
-        if c != 0:
-            vec = vec + c * Element(pair.g, row)
+    coords = [rng.randint(-2, 2) for _ in range(pair.k.dim)]
+    vec = Element._trusted(pair.g, combine_rows(coords, pair.k.basis))
     return None if vec.is_zero() else vec
 
 
@@ -1085,8 +1061,6 @@ def class_closure_sample(pair, x: Element, samples=40, seed=0) -> ClassClosureRe
     the first; signatures that fail to reappear mark sampling noise, not a
     falsification, and are reported through ``consistency_ok``.
     """
-    from .analysis import decomposition_signature
-
     rng = random.Random(seed)
     source_sig = decomposition_signature(pair, x)
     rounds = []
@@ -1110,8 +1084,6 @@ def _sample_class_point(pair, x: Element, rng) -> Element:
     """A point of D(x) = K · (open part of the double centralizer of x_s
     plus x_n): a perturbed double-centralizer mate of the semisimple part,
     translated by a sampled fixed-group automorphism."""
-    from .analysis import decomposition_signature, double_centralizer
-
     g = pair.g
     s, n = jordan_chevalley(x)
     target = decomposition_signature(pair, x)
@@ -1121,10 +1093,8 @@ def _sample_class_point(pair, x: Element, rng) -> Element:
         if dc is None or dc.dim == 0:
             cand = x
         else:
-            v = g.zero()
-            for row in dc.basis.entries:
-                v = v + rat(rng.randint(-3, 3)) * Element(g, row)
-            cand = v + n
+            coeffs = [rng.randint(-3, 3) for _ in range(dc.dim)]
+            cand = Element._trusted(g, combine_rows(coeffs, dc.basis)) + n
         auto = _sample_unipotent_or_rational(pair, rng)
         moved = Element(g, auto.apply(cand.coords))
         try:
@@ -1136,8 +1106,6 @@ def _sample_class_point(pair, x: Element, rng) -> Element:
 
 
 def _sample_unipotent_or_rational(pair, rng) -> RationalMatrix:
-    from .pairs import sample_k_automorphism
-
     if rng.random() < 0.5:
         return RationalMatrix.identity(pair.g.dim)
     return sample_k_automorphism(pair, rng)
@@ -1175,8 +1143,6 @@ def companion_translate(pair, x: Element) -> Element:
     """Conjugate a regular anti-diagonal element to companion form: an exact
     fixed-group translate whose matrix has staircase support, the shape the
     weight-torus arcs degenerate most productively."""
-    from .analysis import _square_factor_matrix
-
     g = pair.g
     y = _square_factor_matrix(pair, x)
     n = y.rows
@@ -1196,7 +1162,5 @@ def companion_translate(pair, x: Element) -> Element:
         )
         ginv = LinearSolver(scaled).inverse()
         comp = ginv * y * scaled
-        from .analysis import _antidiagonal_realization
-
         return g.from_realization(_antidiagonal_realization(pair, comp))
     raise DomainError("element is not cyclic; companion form unavailable")

@@ -32,6 +32,12 @@ through them.  ``LaurentSeries._trusted`` still trims and shifts exactly as
 the public constructor does.  Elimination (``rref``, ``rank``, ``det``) works
 over integer rows inside one call and hands back ``Fraction`` values.
 
+Every rational linear combination of matrix rows, sum c_r·row_r, runs
+through ``combine_rows``: the rows with a nonzero coefficient are taken as
+integer rows and summed over one common denominator.  Callers that combine
+the same rows many times prepare them once with ``_integer_rows`` and call
+its kernel ``_combination`` directly.
+
 Every linear combination of series (sums, products, matrix products,
 mat-vecs, minors, elimination updates) runs through one kernel:
 ``_sum_of_products`` (Σ a·b) and ``_sum_of_scaled`` (Σ s·c, c rational) take
@@ -435,6 +441,46 @@ def _integer_row(row):
     return den, [a.numerator * (den // d) for a, d in zip(row, dens)]
 
 
+def _integer_rows(rows):
+    """Each row as (d, integer nonzeros (i, d·row_i)), d its least common
+    denominator."""
+    out = []
+    for row in rows:
+        d, ints = _integer_row(row)
+        out.append((d, tuple((i, e) for i, e in enumerate(ints) if e)))
+    return out
+
+
+def _combination(coeffs, rows, dim):
+    """sum c_r·row_r as dim Fractions over one common denominator, for rows
+    in the form of ``_integer_rows``."""
+    terms = [(c, d, row) for c, (d, row) in zip(coeffs, rows) if c]
+    den = lcm(*[c.denominator * d for c, d, _ in terms])
+    acc = [0] * dim
+    for c, d, row in terms:
+        f = c.numerator * (den // (c.denominator * d))
+        for i, e in row:
+            acc[i] += f * e
+    return _fractions(acc, den)
+
+
+def _fractions(ints, den):
+    """The tuple of Fractions v / den for v in ints, zeros as Fraction(0)."""
+    if den == 1:
+        return tuple([Fraction(v) if v else _ZERO for v in ints])
+    return tuple([Fraction(v, den) if v else _ZERO for v in ints])
+
+
+def combine_rows(coeffs, matrix: RationalMatrix) -> tuple[Fraction, ...]:
+    """sum c_r·row_r over the rows of ``matrix``, as a tuple of Fractions;
+    ``coeffs`` are ints or Fractions, and only the rows with a nonzero
+    coefficient are read."""
+    live = [(c, row) for c, row in zip(coeffs, matrix.entries) if c]
+    return _combination(
+        [c for c, _ in live], _integer_rows([row for _, row in live]), matrix.cols
+    )
+
+
 def _reduced_rows(matrix: RationalMatrix):
     """Gauss-Jordan elimination over primitive integer rows.
 
@@ -582,15 +628,7 @@ def intersect_row_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix
     stacked = RationalMatrix._trusted(a.entries + b.entries).transpose()
     # kernel vectors (x, y) with x·a + y·b = 0  =>  x·a = -y·b lies in both
     ker = nullspace(stacked)
-    vecs = []
-    for krow in ker.entries:
-        x = krow[: a.rows]
-        v = [_ZERO] * a.cols
-        for coef, row in zip(x, a.entries):
-            if coef != 0:
-                for j, e in enumerate(row):
-                    v[j] += coef * e
-        vecs.append(tuple(v))
+    vecs = [combine_rows(krow[: a.rows], a) for krow in ker.entries]
     if not vecs:
         return RationalMatrix.zero(0, a.cols)
     return row_space(RationalMatrix._trusted(tuple(vecs)))

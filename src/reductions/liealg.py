@@ -24,8 +24,10 @@ from .exact import (
     LinearSolver,
     Polynomial,
     RationalMatrix,
+    _combination,
+    _fractions,
     _gcd_int,
-    _integer_row,
+    _integer_rows,
     integer_roots,
     intersect_row_spaces,
     is_squarefree,
@@ -294,36 +296,6 @@ def _scaled_nonzeros(coords):
     if den == 1:
         return 1, [(i, c.numerator) for i, c in nz]
     return den, [(i, c.numerator * (den // c.denominator)) for i, c in nz]
-
-
-def _integer_rows(rows):
-    """Each row as (d, integer nonzeros (i, d·row_i)), d its least common
-    denominator."""
-    out = []
-    for row in rows:
-        d, ints = _integer_row(row)
-        out.append((d, tuple((i, e) for i, e in enumerate(ints) if e)))
-    return out
-
-
-def _combination(coeffs, rows, dim):
-    """sum c_r·row_r as dim Fractions over one common denominator, for rows
-    in the form of ``_integer_rows``."""
-    terms = [(c, d, row) for c, (d, row) in zip(coeffs, rows) if c]
-    den = lcm(*[c.denominator * d for c, d, _ in terms])
-    acc = [0] * dim
-    for c, d, row in terms:
-        f = c.numerator * (den // (c.denominator * d))
-        for i, e in row:
-            acc[i] += f * e
-    return _fractions(acc, den)
-
-
-def _fractions(ints, den):
-    """The tuple of Fractions v / den for v in ints, zeros as Fraction(0)."""
-    if den == 1:
-        return tuple([Fraction(v) if v else _ZERO for v in ints])
-    return tuple([Fraction(v, den) if v else _ZERO for v in ints])
 
 
 class Element:

@@ -23,6 +23,9 @@ from .errors import (
 from .exact import (
     LinearSolver,
     RationalMatrix,
+    _combination,
+    _integer_rows,
+    combine_rows,
     is_squarefree,
     min_poly,
     nullspace,
@@ -33,10 +36,9 @@ from .liealg import (
     Element,
     LieAlgebra,
     Subspace,
-    _combination,
-    _integer_rows,
     algebra_from_matrices,
     build_classical,
+    build_g2,
     build_product,
     centralizer_in,
     centralizer_of_subspace,
@@ -176,8 +178,6 @@ def make_transpose_pair(n: int) -> SymmetricPair:
 
 def square_of(kind: str) -> SymmetricPair:
     """Named Cartesian-square pairs: sl2, sl3, sl5, sp4, g2."""
-    from .liealg import build_g2
-
     if kind.startswith("sl"):
         g = build_classical("sl", int(kind[2:]))
     elif kind.startswith("sp"):
@@ -275,9 +275,7 @@ def restricted_roots(pair: SymmetricPair) -> RestrictedRootData:
     r = len(a_els)
     last = None
     for coeffs in _generic_coefficient_families(r):
-        astar = g.zero()
-        for c, el in zip(coeffs, a_els):
-            astar = astar + c * el
+        astar = Element._trusted(g, combine_rows(coeffs, pair.cartan.basis))
         ad = g.ad(astar)
         if not is_squarefree(min_poly(ad)):
             raise InternalCheckError("generic Cartan element acts non-semisimply")
@@ -358,9 +356,7 @@ def _weight_spaces(pair, a_els, coeffs, ad, eig) -> RestrictedRootData:
         raise InternalCheckError("k does not decompose as m + sum of k_alpha")
 
     # the generic element swaps k_alpha and p_alpha
-    astar = g.zero()
-    for c, el in zip(coeffs, a_els):
-        astar = astar + c * el
+    astar = Element._trusted(g, combine_rows(coeffs, pair.cartan.basis))
     for alpha in positive:
         img_k = g.subspace([g.bracket(astar, v) for v in k_alpha[alpha].basis_elements()])
         img_p = g.subspace([g.bracket(astar, v) for v in p_alpha[alpha].basis_elements()])
@@ -385,18 +381,9 @@ def singular_kernels(pair: SymmetricPair):
     data = pair.roots()
     out = []
     for alpha in data.positive:
-        rows = []
-        basis = pair.cartan.basis.entries
         # kernel of the functional alpha on a, in ambient coordinates
-        coeff_rows = RationalMatrix([list(alpha)])
-        ker = nullspace(coeff_rows)
-        for combo in ker.entries:
-            vec = [_ZERO] * pair.g.dim
-            for c, row in zip(combo, basis):
-                if c != 0:
-                    for i, e in enumerate(row):
-                        vec[i] += c * e
-            rows.append(vec)
+        ker = nullspace(RationalMatrix([list(alpha)]))
+        rows = [combine_rows(combo, pair.cartan.basis) for combo in ker.entries]
         z = pair.g.subspace(rows) if rows else Subspace(pair.g, RationalMatrix.zero(0, pair.g.dim))
         cpz = centralizer_of_subspace(z, pair.p)
         expected = pair.rank + data.p_alpha[alpha].dim
@@ -580,12 +567,8 @@ def _k_nilpotent_bank(pair: SymmetricPair):
     bank = []
     m = centralizer_of_subspace(pair.cartan, pair.k)
     if m.dim > 0:
-        m_els = m.basis_elements()
-        for coeffs in _generic_coefficient_families(len(m_els)):
-            generic = g.zero()
-            for c, el in zip(coeffs, m_els):
-                generic = generic + c * el
-            ad = g.ad(generic)
+        for coeffs in _generic_coefficient_families(m.dim):
+            ad = g.ad(Element._trusted(g, combine_rows(coeffs, m.basis)))
             try:
                 eig = rational_eigenvalues(ad)
             except IrrationalSpectrumError:
@@ -623,11 +606,8 @@ def k_nilpotent_elements(pair: SymmetricPair, rng, count=1, tries=40):
         if len(out) >= count:
             break
         space = rng.choice(bank)
-        vec = pair.g.zero()
-        for row in space.basis.entries:
-            c = rat(rng.randint(-2, 2))
-            if c != 0:
-                vec = vec + c * Element(pair.g, row)
+        coeffs = [rng.randint(-2, 2) for _ in range(space.dim)]
+        vec = Element._trusted(pair.g, combine_rows(coeffs, space.basis))
         if not vec.is_zero():
             out.append(vec)
     return out
@@ -642,12 +622,7 @@ class PairEmbedding:
         self.sub = sub
 
     def to_ambient(self, x: Element) -> Element:
-        vec = [_ZERO] * self.ambient.g.dim
-        for c, row in zip(x.coords, self.sub.basis.entries):
-            if c != 0:
-                for i, e in enumerate(row):
-                    vec[i] += c * e
-        return Element(self.ambient.g, vec)
+        return Element._trusted(self.ambient.g, combine_rows(x.coords, self.sub.basis))
 
     def to_ambient_subspace(self, s: Subspace) -> Subspace:
         return self.ambient.g.subspace([self.to_ambient(e) for e in s.basis_elements()])

@@ -13,9 +13,9 @@ import random
 from fractions import Fraction
 
 from .errors import DomainError, InternalCheckError
-from .exact import RationalMatrix, rat, row_space
+from .exact import RationalMatrix, combine_rows, in_row_space, nullspace, rank, row_space
 from .liealg import Element, Subspace, jordan_chevalley
-from .pairs import SymmetricPair
+from .pairs import SymmetricPair, singular_kernels
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -49,8 +49,6 @@ class Plane:
             coords = self.pair.to_p_coords(x)
         except DomainError:
             return False
-        from .exact import in_row_space
-
         return in_row_space(self.matrix, coords)
 
     def contains_subspace(self, sub: Subspace) -> bool:
@@ -164,8 +162,6 @@ def semisimple_part_matrix(u: Plane) -> RationalMatrix:
 
 
 def _kernel_dim(mat: RationalMatrix) -> int:
-    from .exact import rank
-
     return mat.rows - rank(mat)
 
 
@@ -174,18 +170,13 @@ def semisimple_nilpotent_split(u: Plane) -> tuple[Subspace, Subspace]:
 
     The first subspace lies inside u exactly when u is closed under the
     Chevalley-Jordan decomposition."""
-    from .exact import nullspace
-
     g = u.pair.g
     smat = semisimple_part_matrix(u)
     s_span = g.subspace([row for row in smat.entries if any(row)])
-    basis_els = u.basis_elements()
-    nil_rows = []
-    for combo in nullspace(smat.transpose()).entries:
-        vec = g.zero()
-        for c, b in zip(combo, basis_els):
-            vec = vec + c * b
-        nil_rows.append(vec)
+    nil_rows = [
+        u.pair.from_p_coords(combine_rows(combo, u.matrix))
+        for combo in nullspace(smat.transpose()).entries
+    ]
     n_span = g.subspace(nil_rows) if nil_rows else Subspace(g, RationalMatrix.zero(0, g.dim))
     return s_span, n_span
 
@@ -261,16 +252,12 @@ class GammaFamily:
 
     def sample(self, rng: random.Random) -> Plane:
         """A uniform-ish random member with small rational coordinates."""
-        w_els = self.w.basis_elements()
         for _ in range(64):
             rows = list(self.v.basis.entries)
             extra = []
             for _ in range(self.below):
-                coords = [rat(rng.randint(-4, 4)) for _ in w_els]
-                vec = self.pair.g.zero()
-                for c, e in zip(coords, w_els):
-                    vec = vec + c * e
-                extra.append(vec.coords)
+                coords = [rng.randint(-4, 4) for _ in range(self.w.dim)]
+                extra.append(combine_rows(coords, self.w.basis))
             candidate = self.pair.g.subspace([*rows, *extra])
             if candidate.dim == self.r:
                 return plane_from_subspace(self.pair, candidate)
@@ -297,8 +284,6 @@ def maximal_linear_through(a: Plane, rng=None, samples=4):
     pair = a.pair
     rng = rng or random.Random(0)
     a_sub = a.to_subspace()
-    from .pairs import singular_kernels
-
     kernels = singular_kernels(pair)
     families = []
     for sk in kernels:

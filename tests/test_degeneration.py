@@ -431,6 +431,44 @@ def test_rigidity_check_builds_one_magnitude_flag_per_moving_matrix(monkeypatch)
     assert len(seen) == 1
 
 
+def test_obstructed_rigidity_witnesses_lie_in_the_plane_and_converge():
+    # A frame-obstructed square(sl3) instance, one of criterion 6's draws at
+    # seed 42, set in the upper-left 3x3 block of sl4, plus the Cartan
+    # direction diag(1, 1, 1, -3), which the curve fixes.  The obstructed
+    # instances of the battery degenerate to nilpotent planes and so need no
+    # witness; this one keeps a semisimple limit direction, which the
+    # obstructed branch must certify by a source of magnitude order zero.
+    from reductions.degeneration import rigidity_check
+    from reductions.exact import min_valuation
+    from reductions.liealg import build_classical
+    from reductions.pairs import make_cartesian_square
+
+    pair = make_cartesian_square(build_classical("sl", 4), name="square(sl4)")
+
+    def block(rows):
+        return RationalMatrix([list(r) + [0] for r in rows] + [[0, 0, 0, 0]])
+
+    y1 = diag_k_element(pair, block([[0, 0, 2], [0, 0, 2], [0, 0, 0]]))
+    y2 = diag_k_element(pair, block([[0, 0, -2], [0, 0, 1], [0, 0, 0]]))
+    curve = curve_from_generators(pair, [(y1, -1), (y2, -2)])
+    x1 = block([[rat(-7, 3), 1, -1], [0, rat(1, 6), 0], [5, -2, rat(13, 6)]])
+    x2 = block([[rat(1, 12), 0, 0], [1, rat(-2, 3), rat(1, 2)], [1, rat(-3, 4), rat(7, 12)]])
+    h = RationalMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -3]])
+    plane = plane_from_basis(pair, [square_element(pair, m) for m in (x1, x2, h)])
+
+    report = rigidity_check(curve, plane)
+    assert report.frame_obstructed and report.semisimple_span_dim == 1
+    assert len(report.witness_pairs) == 1
+    cmat = curve.p_matrix()
+    for source, target in report.witness_pairs:
+        assert plane.contains(source)
+        assert classify_element(source) == "semisimple"
+        assert report.limit.contains(target)
+        moved = cmat.apply(pair.to_p_coords(source))
+        assert min_valuation(moved) >= 0
+        assert pair.from_p_coords([s.at_zero() for s in moved]) == target
+
+
 # -- descent and class closure
 
 

@@ -35,6 +35,7 @@ from reductions.exact import (
     _prepared,
     _sum_of_products,
     _sum_of_scaled,
+    combine_rows,
     intersect_row_spaces,
     min_poly,
     nullspace,
@@ -250,6 +251,33 @@ def test_trusted_paths_return_fractions(data):
     assert all(type(x) is Fraction for x in a.apply([1] * a.cols))
     if a.rows == a.cols:
         assert type(a.det()) is Fraction
+
+
+def _ref_combine(coeffs, m: RationalMatrix):
+    """sum c_r·row_r added one term at a time: the fold ``combine_rows``
+    replaced."""
+    vec = [Fraction(0)] * m.cols
+    for c, row in zip(coeffs, m.entries):
+        for i, e in enumerate(row):
+            vec[i] += c * e
+    return tuple(vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_combine_rows_matches_the_fraction_fold(data):
+    # int, Fraction and zero coefficients, all-zero combinations, and 0-row
+    # matrices of any width
+    m = data.draw(matrices())
+    coeffs = data.draw(st.lists(entries, min_size=m.rows, max_size=m.rows))
+    empty = RationalMatrix.zero(0, m.cols)
+    cases = [(coeffs, m), ([Fraction(c) for c in coeffs], m), ([0] * m.rows, m), ([], empty)]
+    for cs, mat in cases:
+        got = combine_rows(cs, mat)
+        assert got == _ref_combine(cs, mat)
+        assert len(got) == mat.cols
+        assert all(type(x) is Fraction for x in got)
+    assert combine_rows([], empty) == (Fraction(0),) * m.cols
 
 
 def test_trusted_elements_hold_fractions():
