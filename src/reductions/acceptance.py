@@ -61,7 +61,6 @@ from .degeneration import (
     descend_to_closed,
     limit_computation,
     limit_plane,
-    magnitude_flag,
     non_adapted_additivity_fails,
     rigidity_check,
     tempered_element_limit,
@@ -299,7 +298,7 @@ def criterion_4_jacobian(seed, count=100):
                 [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             )
             mat = mat - RationalMatrix.identity(n) * Fraction(mat.trace(), n)
-            x = pair.g.from_realization(_antidiagonal_realization(pair, mat))
+            x = pair.g.from_realization(_antidiagonal_realization(mat))
             centralizer = None if x.is_zero() else _regular_centralizer(pair, x)
             if centralizer is None:
                 continue
@@ -352,8 +351,7 @@ def criterion_5_limits(seed, per_pair=100, include_sp4=False):
             if not comp.constant_frame_ok:
                 surfaced += 1
                 surfaced_example = surfaced_example or comp.surfaced
-            flag = magnitude_flag(curve, plane)
-            if flag.size > 1:
+            if comp.flag.size > 1:
                 nontrivial_flags += 1
                 if non_adapted_additivity_fails(curve, plane):
                     controls += 1
@@ -425,7 +423,6 @@ def criterion_7_subvarieties(seed, samples=12):
     for kind in ("sl3", "sp4"):
         pair = square_of(kind)
         rng = random.Random(_subseed(seed, kind, "subvariety"))
-        a = cartan_plane(pair)
         checks_ok = True
         details = {}
         for sk in singular_kernels(pair)[:2]:

@@ -154,7 +154,7 @@ def decomposition_signature(pair: SymmetricPair, x: Element) -> DecompositionSig
     the same decomposition class.  Needs a rational spectrum."""
     n = _require_sl_square(pair)
     y = _square_factor_matrix(pair, x)
-    s_el, n_el = jordan_chevalley(x)
+    s_el, _ = jordan_chevalley(x)
     s = _square_factor_matrix(pair, s_el) if not s_el.is_zero() else RationalMatrix.zero(n, n)
     nil = y - s
     eig = rational_eigenvalues(s) if not s.is_zero() else {Fraction(0): n}
@@ -340,10 +340,10 @@ def _block_representative(pair, sig, eigenvalue):
     shift = sum(eigenvalues) / n
     for i in range(n):
         entries[i][i] = eigenvalues[i] - shift
-    return pair.g.from_realization(_antidiagonal_realization(pair, RationalMatrix(entries)))
+    return pair.g.from_realization(_antidiagonal_realization(RationalMatrix(entries)))
 
 
-def _antidiagonal_realization(pair, left: RationalMatrix) -> RationalMatrix:
+def _antidiagonal_realization(left: RationalMatrix) -> RationalMatrix:
     n = left.rows
     rows = []
     for i in range(2 * n):
@@ -454,7 +454,6 @@ def jacobian_map(pair: SymmetricPair, x: Element) -> PluckerVector:
     _require_sl_square(pair)
     y = _square_factor_matrix(pair, x)
     directions, solver = _jacobian_frame(pair)
-    p_dim = pair.p.dim
     r = pair.rank
     vectors = []
     for adj in _adjugate_coefficients(y)[1:]:
@@ -467,11 +466,7 @@ def jacobian_map(pair: SymmetricPair, x: Element) -> PluckerVector:
     mat = RationalMatrix._trusted(tuple(vectors))
     if rank(mat) < r:
         raise DomainError("Jacobian wedge vanishes: the element is irregular")
-    minors = {}
-    for combo in itertools.combinations(range(p_dim), r):
-        sub = RationalMatrix._trusted(tuple(tuple(row[j] for j in combo) for row in vectors))
-        minors[combo] = sub.det()
-    return PluckerVector(p_dim, r, minors)
+    return PluckerVector.from_matrix(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +502,11 @@ def nonalgebraic_witness(n: int) -> tuple:
         raise DomainError("nilpotent block is too small; need a larger rank")
     ms = ms[:r]
     s_mat = RationalMatrix(s_left)
-    vectors = [pair.g.from_realization(_antidiagonal_realization(pair, s_mat + ms[0]))]
+    vectors = [pair.g.from_realization(_antidiagonal_realization(s_mat + ms[0]))]
     for m in ms[1:]:
-        vectors.append(pair.g.from_realization(_antidiagonal_realization(pair, m)))
+        vectors.append(pair.g.from_realization(_antidiagonal_realization(m)))
     plane = plane_from_basis(pair, vectors)
-    s_el = pair.g.from_realization(_antidiagonal_realization(pair, s_mat))
+    s_el = pair.g.from_realization(_antidiagonal_realization(s_mat))
     if not is_anisotropic_subalgebra(plane):
         raise InternalCheckError("witness plane is not abelian")
     if plane.contains(s_el):

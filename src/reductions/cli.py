@@ -47,19 +47,24 @@ def _build_pair(args):
     raise DomainError("specify a pair with --square or --transpose")
 
 
+def _labelled_element(pair, spec):
+    """The element of g with coordinates given as {basis label: value}."""
+    from .liealg import Element
+
+    coords = [rat(0)] * pair.g.dim
+    labels = {l: i for i, l in enumerate(pair.g.labels)}
+    for label, value in spec.items():
+        if label not in labels:
+            raise DomainError(f"unknown basis label {label!r}")
+        coords[labels[label]] = Fraction(value)
+    return Element(pair.g, coords)
+
+
 def _parse_vector(pair, spec):
     """A p-element from either a dense p-coordinate list or a {label: value}
     dict over the algebra basis labels."""
     if isinstance(spec, dict):
-        coords = [rat(0)] * pair.g.dim
-        labels = {l: i for i, l in enumerate(pair.g.labels)}
-        for label, value in spec.items():
-            if label not in labels:
-                raise DomainError(f"unknown basis label {label!r}")
-            coords[labels[label]] = Fraction(value)
-        from .liealg import Element
-
-        x = Element(pair.g, coords)
+        x = _labelled_element(pair, spec)
         pair.to_p_coords(x)  # membership check
         return x
     return pair.from_p_coords([Fraction(v) for v in spec])
@@ -75,9 +80,10 @@ def _parse_plane(pair, text):
 def _parse_curve(pair, text):
     from .degeneration import GroupCurve
 
-    data = json.loads(text)
+    if text is None:
+        raise DomainError("a degeneration of a pair needs --curve")
     moves = []
-    for move in data:
+    for move in json.loads(text):
         kind = move["kind"]
         if kind == "torus":
             moves.append(("torus", tuple(int(w) for w in move["weights"])))
@@ -85,15 +91,7 @@ def _parse_curve(pair, text):
         gen = move["generator"]
         if isinstance(gen, str):
             gen = {gen: 1}
-        coords = [rat(0)] * pair.g.dim
-        labels = {l: i for i, l in enumerate(pair.g.labels)}
-        for label, value in gen.items():
-            if label not in labels:
-                raise DomainError(f"unknown basis label {label!r}")
-            coords[labels[label]] = Fraction(value)
-        from .liealg import Element
-
-        moves.append((kind, Element(pair.g, coords), int(move["exponent"])))
+        moves.append((kind, _labelled_element(pair, gen), int(move["exponent"])))
     return GroupCurve(pair, moves)
 
 

@@ -52,13 +52,20 @@ from .exact import (
     intersect_row_spaces,
     min_valuation,
     nullspace,
+    rank,
     rat,
     row_space,
     rref,
     solve,
     valuation_adapted_reduce,
 )
-from .liealg import Element, Subspace, classify_element, jordan_chevalley
+from .liealg import (
+    Element,
+    Subspace,
+    classify_element,
+    jordan_chevalley,
+    normalizer_dimension,
+)
 from .pairs import SymmetricPair, k_nilpotent_elements, sample_k_automorphism
 from .planes import (
     Plane,
@@ -528,7 +535,6 @@ def _extend_basis(smaller: RationalMatrix, larger: RationalMatrix):
     """Rows of larger completing a basis of smaller to one of larger."""
     rows = list(smaller.entries)
     extra = []
-    current = row_space(RationalMatrix(rows)) if rows else None
     have = len(rows)
     for row in larger.entries:
         candidate = rows + [list(row)]
@@ -541,22 +547,23 @@ def _extend_basis(smaller: RationalMatrix, larger: RationalMatrix):
     return extra
 
 
-def magnitude_basis(curve, plane, split=None):
+def magnitude_basis(curve, plane):
     """A basis of the plane adapted to the magnitude flag, ordered by
     non-decreasing magnitude order.
 
-    With ``split`` (subspaces summing directly to the plane) every returned
-    vector lies in a single summand; the existence of such a basis is a
-    theorem, so failure of the levels to decompose against the split is a
-    hard error, not a retry.
-
     Returns a list of (combination row over the plane basis, magnitude order).
     """
-    return _adapted_basis(magnitude_flag(curve, plane), plane, split)
+    return _adapted_basis(magnitude_flag(curve, plane))
 
 
-def _adapted_basis(flag: MagnitudeFlag, plane, split=None):
-    """``magnitude_basis`` from the plane's magnitude flag."""
+def _adapted_basis(flag: MagnitudeFlag, split=None):
+    """``magnitude_basis`` from the plane's magnitude flag.
+
+    With ``split`` (subspaces summing directly to the plane, each a list of
+    vectors in the coordinates of the plane basis) every returned vector
+    lies in a single summand; the existence of such a basis is a theorem, so
+    failure of the levels to decompose against the split is a hard error,
+    not a retry."""
     basis = flag.basis
     r = basis.rows
     split_combos = None
@@ -564,8 +571,8 @@ def _adapted_basis(flag: MagnitudeFlag, plane, split=None):
         split_combos = []
         for summand in split:
             rows = []
-            for el in _subspace_rows(summand, plane):
-                combo = coordinates_in_row_space(basis, el)
+            for vec in summand:
+                combo = coordinates_in_row_space(basis, vec)
                 if combo is None:
                     raise DomainError("split summand is not inside the plane")
                 rows.append(list(combo))
@@ -602,14 +609,6 @@ def _adapted_basis(flag: MagnitudeFlag, plane, split=None):
     return chosen
 
 
-def _subspace_rows(summand, plane):
-    if isinstance(summand, Subspace):
-        if not isinstance(plane, Plane):
-            raise DomainError("algebra subspaces need a plane with a pair")
-        return [plane.pair.to_p_coords(e) for e in summand.basis_elements()]
-    return list(summand.entries)
-
-
 # ---------------------------------------------------------------------------
 # limits
 
@@ -626,19 +625,17 @@ class LimitComputation:
     and ``moving`` the matrix whose columns are the moving basis of the plane.
     """
 
-    def __init__(self, plane, basis_data, wedge_valuation, oracle_coords,
-                 constant_frame_ok=True, surfaced=None, flag=None, moving=None):
+    def __init__(self, plane, orders, wedge_valuation, constant_frame_ok, surfaced, flag, moving):
         self.plane = plane
-        self.basis_data = basis_data  # list of (combo, omega, tempered vector)
+        self.orders = orders  # the orders the tempered frame is read at
         self.wedge_valuation = wedge_valuation
-        self.oracle_coords = oracle_coords
         self.constant_frame_ok = constant_frame_ok
         self.surfaced = surfaced
         self.flag = flag
         self.moving = moving
 
     def omegas(self):
-        return [om for _, om, _ in self.basis_data]
+        return list(self.orders)
 
 
 def limit_plane(curve, plane):
@@ -656,7 +653,7 @@ def limit_computation(curve, plane) -> LimitComputation:
     r = basis.rows
     moving = _moving_matrix(curve, basis)
     flag = _flag_from_moving(moving, basis)
-    adapted = _adapted_basis(flag, plane)
+    adapted = _adapted_basis(flag)
     vectors = RationalMatrix._trusted(tuple(combine_rows(c, basis) for c, _ in adapted))
     moved = _moving_matrix(curve, vectors)
 
@@ -665,44 +662,20 @@ def limit_computation(curve, plane) -> LimitComputation:
     # plane itself realizes the module profile, and the limit must be taken
     # through a series-adapted frame instead (surfaced, never patched over)
     omegas = [om for _, om in adapted]
-    constant_frame_ok = True
-    obstruction_stage = None
-    for k in range(1, r + 1):
-        wedge_val = min_valuation(list(_stage_minors(moved, k).values()))
-        if wedge_val != sum(omegas[:k]):
-            if wedge_val < sum(omegas[:k]):
-                raise InternalCheckError(
-                    "wedge valuation below the profile sum; impossible"
-                )
-            constant_frame_ok = False
-            obstruction_stage = k
-            break
-
+    obstruction_stage = _additivity_break(moved, omegas)
     surfaced = None
-    if constant_frame_ok:
-        tempered = []
-        for col, (combo, om) in enumerate(adapted):
-            vec = [moved.entries[i][col].coeff_at(om) for i in range(moved.rows)]
-            tempered.append(vec)
-        frame_matrix = RationalMatrix(tempered)
-        if len(rref(frame_matrix)[1]) != r:
-            raise InternalCheckError("tempered frame does not stay a frame at t = 0")
+    if obstruction_stage is None:
+        orders = omegas
+        frame = _tempered_frame(moved, orders)
     else:
-        record, pivots = valuation_adapted_reduce(moving)
-        tempered = []
-        for col, pival in enumerate(pivots):
-            vec = [record.reduced.entries[i][col].coeff_at(pival) for i in range(moving.rows)]
-            tempered.append(vec)
-        frame_matrix = RationalMatrix(tempered)
-        if len(rref(frame_matrix)[1]) != r:
-            raise InternalCheckError("series-adapted frame does not stay a frame at t = 0")
+        record, orders = valuation_adapted_reduce(moving)
+        frame = _tempered_frame(record.reduced, orders)
         surfaced = {
             "flag_profile": omegas,
-            "module_profile": pivots,
+            "module_profile": orders,
             "obstruction_stage": obstruction_stage,
             "plane": [[str(c) for c in row] for row in basis.entries],
         }
-        adapted = [(None, pival) for pival in pivots]
 
     # oracle route: leading coefficients of the Plücker coordinates
     minors = _stage_minors(moving, r)
@@ -710,20 +683,45 @@ def limit_computation(curve, plane) -> LimitComputation:
     oracle = {k: v.coeff_at(wedge_val) for k, v in minors.items()}
 
     if isinstance(plane, Plane):
-        limit = Plane(plane.pair, frame_matrix)
+        limit = Plane(plane.pair, frame)
         limit_pl = limit.plucker()
-        tempered = [plane.pair.from_p_coords(vec) for vec in tempered]
     else:
-        limit = row_space(frame_matrix)
+        limit = row_space(frame)
         limit_pl = PluckerVector.from_matrix(limit)
     if not limit_pl.proportional_to(PluckerVector(moving.rows, r, oracle)):
         raise InternalCheckError(
             "tempered-frame limit disagrees with the Plücker-valuation oracle"
         )
-    basis_data = [(combo, om, vec) for (combo, om), vec in zip(adapted, tempered)]
     return LimitComputation(
-        limit, basis_data, wedge_val, oracle, constant_frame_ok, surfaced, flag, moving
+        limit, orders, wedge_val, obstruction_stage is None, surfaced, flag, moving
     )
+
+
+def _tempered_frame(matrix: SeriesMatrix, orders) -> RationalMatrix:
+    """The tempered frame at t = 0: row j is column j of ``matrix`` read at
+    t^orders[j].  Raises unless the rows stay independent."""
+    frame = RationalMatrix._trusted(tuple(
+        tuple(e.coeff_at(om) for e in matrix.column(j)) for j, om in enumerate(orders)
+    ))
+    if rank(frame) != len(orders):
+        raise InternalCheckError("tempered frame does not stay a frame at t = 0")
+    return frame
+
+
+def _additivity_break(moved: SeriesMatrix, orders):
+    """The first stage k at which the wedge of the first k columns of
+    ``moved`` has valuation other than Σ orders[:k], or None when every
+    stage adds up.  By multilinearity the wedge of columns of valuations at
+    least ``orders`` never has a smaller valuation; that raises."""
+    total = 0
+    for k, om in enumerate(orders, 1):
+        total += om
+        wedge_val = min_valuation(list(_stage_minors(moved, k).values()))
+        if wedge_val < total:
+            raise InternalCheckError("wedge valuation below the profile sum; impossible")
+        if wedge_val > total:
+            return k
+    return None
 
 
 def _stage_minors(moved: SeriesMatrix, k: int) -> dict:
@@ -754,14 +752,13 @@ def non_adapted_additivity_fails(curve, plane) -> bool:
     combos[j] = [a + b2 for a, b2 in zip(combos[j], combos[i])]
     vectors = RationalMatrix._trusted(tuple(combine_rows(c, basis) for c in combos))
     moved = _moving_matrix(curve, vectors)
-    spoiled = [min_valuation(col) for col in (moved.column(c) for c in range(len(combos)))]
-    for k in range(1, len(combos) + 1):
-        if min_valuation(list(_stage_minors(moved, k).values())) != sum(spoiled[:k]):
-            return True
-    raise InternalCheckError(
-        "non-adapted basis satisfied wedge additivity; "
-        "this would falsify the adaptedness criterion"
-    )
+    spoiled = [min_valuation(moved.column(c)) for c in range(len(combos))]
+    if _additivity_break(moved, spoiled) is None:
+        raise InternalCheckError(
+            "non-adapted basis satisfied wedge additivity; "
+            "this would falsify the adaptedness criterion"
+        )
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -772,14 +769,13 @@ class RigidityReport:
     """Per-degeneration certificate for the rigidity of semisimple parts."""
 
     def __init__(self, limit, cj_closed, entries, semisimple_span_dim, witness_pairs,
-                 frame_obstructed=False, surfaced=None):
+                 frame_obstructed):
         self.limit = limit
         self.cj_closed = cj_closed
         self.entries = entries  # (source, omega, target, kind)
         self.semisimple_span_dim = semisimple_span_dim
         self.witness_pairs = witness_pairs  # (s1, s0) with c(t) s1 -> s0
         self.frame_obstructed = frame_obstructed
-        self.surfaced = surfaced
 
     def summary(self):
         return {
@@ -801,10 +797,12 @@ def rigidity_check(curve: GroupCurve, plane: Plane) -> RigidityReport:
     When the instance carries a tempered-frame obstruction (no basis of the
     plane realizes the module profile), the split-adapted bookkeeping is
     unavailable; the instance is surfaced and the certificate is produced
-    directly: for each semisimple direction of the limit, a source with
-    magnitude order zero converging to it is found by exact linear algebra.
-    Any failed clause is a hard error: it would falsify the rigidity theorem
-    on a concrete instance.
+    directly: for each semisimple direction of the limit, a semisimple
+    source of magnitude order zero converging to it is found by exact linear
+    algebra.  On both branches every witness pair is then checked at run
+    time: the curve translate of the source has no pole and equals the
+    target at t = 0.  Any failed clause is a hard error: it would falsify
+    the rigidity theorem on a concrete instance.
     """
     pair = plane.pair
     if not is_anisotropic_subalgebra(plane):
@@ -816,7 +814,6 @@ def rigidity_check(curve: GroupCurve, plane: Plane) -> RigidityReport:
 
     basis = plane.matrix
     comp = limit_computation(curve, plane)
-    moving = comp.moving
     limit = comp.plane
     if not is_anisotropic_subalgebra(limit):
         raise InternalCheckError("limit of an abelian plane is not abelian")
@@ -831,9 +828,8 @@ def rigidity_check(curve: GroupCurve, plane: Plane) -> RigidityReport:
 
     if comp.constant_frame_ok:
         # full bookkeeping through a basis split into pure types
-        adapted = _adapted_basis(comp.flag, plane, [s_span, n_span])
-        semisimple_targets = []
-        for combo, om in adapted:
+        split = [[pair.to_p_coords(e) for e in span.basis_elements()] for span in (s_span, n_span)]
+        for combo, om in _adapted_basis(comp.flag, split):
             vec = combine_rows(combo, basis)
             source = pair.from_p_coords(vec)
             moved = cmat.apply(vec)
@@ -851,38 +847,32 @@ def rigidity_check(curve: GroupCurve, plane: Plane) -> RigidityReport:
                     raise InternalCheckError(
                         "semisimple limit vector with nonzero magnitude order"
                     )
-                semisimple_targets.append((source, target))
+                witness_pairs.append((source, target))
             entries.append((source, om, target, f"{source_kind}->{target_kind}"))
-        target_span = pair.g.subspace([t for _, t in semisimple_targets]) \
-            if semisimple_targets else Subspace(pair.g, RationalMatrix.zero(0, pair.g.dim))
+        target_span = pair.g.subspace([t for _, t in witness_pairs]) \
+            if witness_pairs else Subspace(pair.g, RationalMatrix.zero(0, pair.g.dim))
         if limit_s_span != target_span:
             raise InternalCheckError(
                 "semisimple span of the limit is not spanned by the zero-order targets"
             )
-        for source, target in semisimple_targets:
-            moved = cmat.apply(pair.to_p_coords(source))
-            value = pair.from_p_coords([s.at_zero() for s in moved])
-            if value != target:
-                raise InternalCheckError("curve translate does not converge to its target")
-            witness_pairs.append((source, target))
-    else:
+    elif limit_s_span.dim:
         # obstructed instance: certify the semisimple directions one by one
+        rows = _order_rows(comp.moving)
         for row in limit_s_span.basis.entries:
             target = Element(pair.g, row)
-            source = _zero_order_witness(pair, moving, basis, target)
-            if source is None:
-                raise InternalCheckError(
-                    "no source of magnitude order zero converges to a "
-                    "semisimple limit direction; this would falsify rigidity"
-                )
-            if classify_element(source) not in ("semisimple",):
-                source = _semisimplify_witness(pair, moving, basis, target, source)
+            source = _zero_order_witness(pair, rows, basis, target)
             witness_pairs.append((source, target))
             entries.append((source, 0, target, "semisimple->semisimple"))
 
+    for source, target in witness_pairs:
+        moved = cmat.apply(pair.to_p_coords(source))
+        if any(not s.is_zero() and s.val < 0 for s in moved) or \
+                pair.from_p_coords([s.at_zero() for s in moved]) != target:
+            raise InternalCheckError("curve translate does not converge to its target")
+
     return RigidityReport(
         limit, closed, entries, limit_s_span.dim, witness_pairs,
-        frame_obstructed=not comp.constant_frame_ok, surfaced=comp.surfaced,
+        frame_obstructed=not comp.constant_frame_ok,
     )
 
 
@@ -900,24 +890,27 @@ def _order_rows(moving: SeriesMatrix) -> RationalMatrix:
     ])
 
 
-def _zero_order_witness(pair, moving: SeriesMatrix, basis, target: Element):
-    """Solve for an element of the plane whose moving image has no negative
-    orders and value the target at t = 0."""
-    rows = _order_rows(moving)
-    rhs = [_ZERO] * (rows.rows - moving.rows) + list(pair.to_p_coords(target))
-    combo = solve(rows, rhs)
+def _zero_order_witness(pair, rows: RationalMatrix, basis, target: Element) -> Element:
+    """A semisimple element of the plane (rows of ``basis``) whose moving
+    image has no negative order and value the target at t = 0, the
+    conditions ``rows`` states in the form of ``_order_rows``.  A particular
+    solution that is not semisimple is moved through the solution space
+    until it is; no semisimple solution raises."""
+    coords = pair.to_p_coords(target)
+    combo = solve(rows, [_ZERO] * (rows.rows - len(coords)) + list(coords))
     if combo is None:
-        return None
-    return pair.from_p_coords(combine_rows(combo, basis))
-
-
-def _semisimplify_witness(pair, moving, basis, target, particular):
-    """Move a witness through the solution space until it is semisimple."""
-    kernel = nullspace(_order_rows(moving))
-    base = pair.to_p_coords(particular)
+        raise InternalCheckError(
+            "no source of magnitude order zero converges to a "
+            "semisimple limit direction; this would falsify rigidity"
+        )
+    base = combine_rows(combo, basis)
+    source = pair.from_p_coords(base)
+    if classify_element(source) == "semisimple":
+        return source
+    kernel = nullspace(rows)
     for scale in range(1, 8):
         for krow in kernel.entries:
-            vec = [a + scale * bci for a, bci in zip(base, combine_rows(krow, basis))]
+            vec = [a + scale * b for a, b in zip(base, combine_rows(krow, basis))]
             cand = pair.from_p_coords(vec)
             if classify_element(cand) == "semisimple":
                 return cand
@@ -933,30 +926,7 @@ def _semisimplify_witness(pair, moving, basis, target, particular):
 
 def stabilizer_dimension(plane: Plane) -> int:
     """dim{y in k : [y, plane] ⊆ plane}."""
-    pair = plane.pair
-    g = pair.g
-    k_els = pair.k.basis_elements()
-    plane_els = plane.basis_elements()
-    usub = plane.to_subspace()
-    comp_pivots = rref(usub.basis)[1]
-    rows = []
-    for y in k_els:
-        row = []
-        for bvec in plane_els:
-            img = g.bracket(y, bvec)
-            resid = _residual(img.coords, usub.basis, comp_pivots)
-            row.extend(resid)
-        rows.append(row)
-    return nullspace(RationalMatrix(rows).transpose()).rows
-
-
-def _residual(coords, basis: RationalMatrix, pivots):
-    out = list(coords)
-    for prow, pcol in zip(basis.entries, pivots):
-        f = out[pcol]
-        if f != 0:
-            out = [a - f * b for a, b in zip(out, prow)]
-    return out
+    return normalizer_dimension(plane.to_subspace(), plane.pair.k.basis_elements())
 
 
 class DescentTrace:
@@ -999,15 +969,11 @@ def descend_to_closed(pair, plane: Plane, step_budget=12, seed=0, tries_per_step
         classify_element(x) != "nilpotent"
         for x in current.basis_elements()
         if not x.is_zero()
-    ) and _kernel_is_everything(current)
+    ) and semisimple_part_matrix(current).is_zero()
     return DescentTrace(steps, current, nilp, dims)
 
 
-def _kernel_is_everything(plane: Plane) -> bool:
-    return semisimple_part_matrix(plane).is_zero()
-
-
-def _sample_degeneration_curve(pair, rng, allow_positive=False):
+def _sample_degeneration_curve(pair, rng):
     nils = k_nilpotent_elements(pair, rng, count=rng.choice([1, 2]))
     moves = []
     if nils:
@@ -1061,7 +1027,6 @@ def class_closure_sample(pair, x: Element, samples=40, seed=0) -> ClassClosureRe
     the first; signatures that fail to reappear mark sampling noise, not a
     falsification, and are reported through ``consistency_ok``.
     """
-    rng = random.Random(seed)
     source_sig = decomposition_signature(pair, x)
     rounds = []
     for round_seed in (seed * 2 + 1, seed * 2 + 2):
@@ -1087,7 +1052,6 @@ def _sample_class_point(pair, x: Element, rng) -> Element:
     g = pair.g
     s, n = jordan_chevalley(x)
     target = decomposition_signature(pair, x)
-    base_c = pair.c_p(x) if s.is_zero() else pair.c_p(s)
     dc = double_centralizer(pair, s) if not s.is_zero() else None
     for _ in range(40):
         if dc is None or dc.dim == 0:
@@ -1095,7 +1059,10 @@ def _sample_class_point(pair, x: Element, rng) -> Element:
         else:
             coeffs = [rng.randint(-3, 3) for _ in range(dc.dim)]
             cand = Element._trusted(g, combine_rows(coeffs, dc.basis)) + n
-        auto = _sample_unipotent_or_rational(pair, rng)
+        if rng.random() < 0.5:
+            auto = RationalMatrix.identity(g.dim)
+        else:
+            auto = sample_k_automorphism(pair, rng)
         moved = Element(g, auto.apply(cand.coords))
         try:
             if decomposition_signature(pair, moved) == target:
@@ -1103,12 +1070,6 @@ def _sample_class_point(pair, x: Element, rng) -> Element:
         except (IrrationalSpectrumError, DomainError):
             continue
     return x
-
-
-def _sample_unipotent_or_rational(pair, rng) -> RationalMatrix:
-    if rng.random() < 0.5:
-        return RationalMatrix.identity(pair.g.dim)
-    return sample_k_automorphism(pair, rng)
 
 
 def _sample_class_curve(pair, rng) -> GroupCurve:
@@ -1162,5 +1123,5 @@ def companion_translate(pair, x: Element) -> Element:
         )
         ginv = LinearSolver(scaled).inverse()
         comp = ginv * y * scaled
-        return g.from_realization(_antidiagonal_realization(pair, comp))
+        return g.from_realization(_antidiagonal_realization(comp))
     raise DomainError("element is not cyclic; companion form unavailable")

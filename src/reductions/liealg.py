@@ -33,6 +33,7 @@ from .exact import (
     is_squarefree,
     min_poly,
     nullspace,
+    rank,
     row_space,
     rref,
     shifted,
@@ -386,19 +387,28 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis.entries)
 
-    def coordinates_of(self, x):
-        """Coordinates of x over the basis rows, or None when x lies outside.
-        The basis is in reduced echelon form, so they are the entries of x at
-        its pivot columns, and x lies inside when they combine back to x."""
-        coords = x.coords if isinstance(x, Element) else x
+    def _projection(self, coords):
+        """The entries of ``coords`` at the pivot columns and the combination
+        of the basis rows they give.  The basis is in reduced echelon form,
+        so the combination is ``coords`` itself exactly when it lies inside."""
         if self._echelon is None:
             pivots = [next(j for j, c in enumerate(row) if c) for row in self.basis.entries]
             self._echelon = pivots, _integer_rows(self.basis.entries)
         pivots, rows = self._echelon
-        out = tuple(Fraction(coords[c]) for c in pivots)
-        if _combination(out, rows, self.basis.cols) != tuple(coords):
-            return None
-        return out
+        at = tuple(Fraction(coords[c]) for c in pivots)
+        return at, _combination(at, rows, self.basis.cols)
+
+    def coordinates_of(self, x):
+        """Coordinates of x over the basis rows, or None when x lies outside."""
+        coords = x.coords if isinstance(x, Element) else x
+        at, combo = self._projection(coords)
+        return at if combo == tuple(coords) else None
+
+    def residual(self, x):
+        """x less the combination of the basis rows at its pivot entries:
+        zero exactly when x lies inside."""
+        coords = x.coords if isinstance(x, Element) else x
+        return tuple(a - b for a, b in zip(coords, self._projection(coords)[1]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         return Subspace(self.parent, intersect_row_spaces(self.basis, other.basis))
@@ -694,7 +704,7 @@ def _validate_g2(g):
 @lru_cache(maxsize=None)
 def build_product(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
     """Direct sum with blockwise bracket and block-diagonal realization."""
-    d1, d2 = g1.dim, g2.dim
+    d1 = g1.dim
     labels = [f"L.{l}" for l in g1.labels] + [f"R.{l}" for l in g2.labels]
     table = {}
     for (i, j), data in g1.table.items():
@@ -808,6 +818,19 @@ def centralizer_of_subspace(w: Subspace, v: Subspace) -> Subspace:
     for x in w.basis_elements():
         out = centralizer_in(x, out)
     return out
+
+
+def normalizer_dimension(sub: Subspace, elements) -> int:
+    """dim{y in span(elements) : [y, sub] ⊆ sub} for independent
+    ``elements``: their number less the rank of the residuals of their
+    brackets with the basis of ``sub``."""
+    g = sub.parent
+    basis = sub.basis_elements()
+    rows = tuple(
+        tuple(itertools.chain.from_iterable(sub.residual(g.bracket(y, b)) for b in basis))
+        for y in elements
+    )
+    return len(rows) - rank(RationalMatrix._trusted(rows, len(basis) * g.dim))
 
 
 def rational_eigenvalues(m: RationalMatrix) -> dict[Fraction, int]:

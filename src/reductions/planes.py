@@ -93,7 +93,9 @@ class PluckerVector:
         r, n = matrix.rows, matrix.cols
         coords = {}
         for combo in itertools.combinations(range(n), r):
-            sub = RationalMatrix([[matrix.entries[i][j] for j in combo] for i in range(r)])
+            sub = RationalMatrix._trusted(
+                tuple(tuple(row[j] for j in combo) for row in matrix.entries)
+            )
             coords[combo] = sub.det()
         return PluckerVector(n, r, coords)
 

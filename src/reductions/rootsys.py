@@ -236,20 +236,20 @@ def inequality_survivors(scan_rank=50):
     """
     survivors = []
     for r in range(1, scan_rank + 1):
-        n2, h, bound = table1_row("A", r)
+        n2, _, bound = table1_row("A", r)
         if n2 <= bound:
             survivors.append(("A", r))
     for type_ in ("B", "C"):
         for r in range(2, scan_rank + 1):
-            n2, h, bound = table1_row(type_, r)
+            n2, _, bound = table1_row(type_, r)
             if n2 <= bound:
                 survivors.append((type_, r))
     for r in range(4, scan_rank + 1):
-        n2, h, bound = table1_row("D", r)
+        n2, _, bound = table1_row("D", r)
         if n2 <= bound:
             survivors.append(("D", r))
     for type_, r in (("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)):
-        n2, h, bound = table1_row(type_, r)
+        n2, _, bound = table1_row(type_, r)
         if n2 <= bound:
             survivors.append((type_, r))
     # closed-form monotonicity: each family's margin n/2 - (h + r - 1) is a
@@ -370,8 +370,7 @@ def g2_abelian_nilpotent_classes():
     their normalizer dimensions differ.  Completeness of the list is the
     classification theorem, used as data.
     """
-    from .exact import RationalMatrix, nullspace, rref
-    from .liealg import build_g2, centralizer_of_subspace, classify_element
+    from .liealg import build_g2, centralizer_of_subspace, classify_element, normalizer_dimension
 
     g = build_g2()
     roots_order = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
@@ -403,20 +402,7 @@ def g2_abelian_nilpotent_classes():
         if centralizer_of_subspace(sub, g.full_subspace()).dim != 3:
             raise InternalCheckError("representative is not self-centralizing")
         # normalizer dimension is conjugation-invariant and separates the classes
-        pivots = rref(sub.basis)[1]
-        rows = []
-        for j in range(g.dim):
-            row = []
-            for b in sub.basis_elements():
-                img = g.bracket(g.basis_element(j), b)
-                resid = list(img.coords)
-                for prow, pcol in zip(sub.basis.entries, pivots):
-                    f = resid[pcol]
-                    if f != 0:
-                        resid = [a - f * p for a, p in zip(resid, prow)]
-                row.extend(resid)
-            rows.append(row)
-        profiles[name] = nullspace(RationalMatrix(rows).transpose()).rows
+        profiles[name] = normalizer_dimension(sub, [g.basis_element(j) for j in range(g.dim)])
     if len(set(profiles.values())) != 3:
         raise InternalCheckError("normalizer dimensions fail to separate the classes")
     return {"count": 3, "dimension": 3, "normalizer_dims": profiles, "note": G2_CLASS_NOTE}

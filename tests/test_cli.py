@@ -69,6 +69,13 @@ def test_degenerate_identity_curve(capsys):
     assert data["limit_special"] is False
 
 
+@pytest.mark.parametrize("pair_args", [("--square", "sl3"), ("--transpose", "3")])
+def test_degenerate_pair_without_curve_is_a_usage_error(capsys, pair_args):
+    code = main(["degenerate", *pair_args])
+    assert code == 2
+    assert "--curve" in capsys.readouterr().err
+
+
 def test_degenerate_toy(capsys):
     code, out = run_cli(
         capsys,

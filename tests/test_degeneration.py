@@ -431,15 +431,13 @@ def test_rigidity_check_builds_one_magnitude_flag_per_moving_matrix(monkeypatch)
     assert len(seen) == 1
 
 
-def test_obstructed_rigidity_witnesses_lie_in_the_plane_and_converge():
+def _obstructed_sl4_instance():
     # A frame-obstructed square(sl3) instance, one of criterion 6's draws at
     # seed 42, set in the upper-left 3x3 block of sl4, plus the Cartan
     # direction diag(1, 1, 1, -3), which the curve fixes.  The obstructed
     # instances of the battery degenerate to nilpotent planes and so need no
     # witness; this one keeps a semisimple limit direction, which the
     # obstructed branch must certify by a source of magnitude order zero.
-    from reductions.degeneration import rigidity_check
-    from reductions.exact import min_valuation
     from reductions.liealg import build_classical
     from reductions.pairs import make_cartesian_square
 
@@ -455,7 +453,14 @@ def test_obstructed_rigidity_witnesses_lie_in_the_plane_and_converge():
     x2 = block([[rat(1, 12), 0, 0], [1, rat(-2, 3), rat(1, 2)], [1, rat(-3, 4), rat(7, 12)]])
     h = RationalMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -3]])
     plane = plane_from_basis(pair, [square_element(pair, m) for m in (x1, x2, h)])
+    return pair, curve, plane
 
+
+def test_obstructed_rigidity_witnesses_lie_in_the_plane_and_converge():
+    from reductions.degeneration import rigidity_check
+    from reductions.exact import min_valuation
+
+    pair, curve, plane = _obstructed_sl4_instance()
     report = rigidity_check(curve, plane)
     assert report.frame_obstructed and report.semisimple_span_dim == 1
     assert len(report.witness_pairs) == 1
@@ -467,6 +472,37 @@ def test_obstructed_rigidity_witnesses_lie_in_the_plane_and_converge():
         moved = cmat.apply(pair.to_p_coords(source))
         assert min_valuation(moved) >= 0
         assert pair.from_p_coords([s.at_zero() for s in moved]) == target
+
+
+def test_obstructed_rigidity_rejects_a_witness_that_misses_its_target(monkeypatch):
+    # every witness is checked at run time to converge to its target: a
+    # doubled witness of the obstructed branch converges to twice it
+    from reductions import degeneration
+
+    _, curve, plane = _obstructed_sl4_instance()
+    found = degeneration._zero_order_witness
+
+    def doubled(*args):
+        return found(*args) * rat(2)
+
+    monkeypatch.setattr(degeneration, "_zero_order_witness", doubled)
+    with pytest.raises(InternalCheckError, match="does not converge to its target"):
+        degeneration.rigidity_check(curve, plane)
+
+
+def test_zero_order_witness_searches_for_a_semisimple_source():
+    # h = diag(1, 1, -2) and n = E12 commute, so h + n is mixed.  With plane
+    # basis (h + n, -n) and one t^0 block sending h + n to h and -n to 0, the
+    # particular solution is h + n and the search must step to h.
+    from reductions.degeneration import _zero_order_witness
+
+    pair = square_of("sl3")
+    h = square_element(pair, RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -2]]))
+    n = square_element(pair, E(3, 0, 1))
+    assert classify_element(h + n) not in ("semisimple", "nilpotent")
+    basis = RationalMatrix([pair.to_p_coords(h + n), pair.to_p_coords(n * rat(-1))])
+    rows = RationalMatrix([[c, 0] for c in pair.to_p_coords(h)])
+    assert _zero_order_witness(pair, rows, basis, h) == h
 
 
 # -- descent and class closure

@@ -91,6 +91,7 @@ def test_g2_three_certified_classes():
     out = g2_abelian_nilpotent_classes()
     assert out["count"] == 3 and out["dimension"] == 3
     assert len(set(out["normalizer_dims"].values())) == 3
+    assert out["normalizer_dims"] == {"short-root": 7, "abelian-ideal": 9, "non-root": 6}
     summary = abelian_class_count("G2", 2)
     assert summary == {
         "max_size": 3,
