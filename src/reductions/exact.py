@@ -32,6 +32,10 @@ through them.  ``LaurentSeries._trusted`` still trims and shifts exactly as
 the public constructor does.  Elimination (``rref``, ``rank``, ``det``) works
 over integer rows inside one call and hands back ``Fraction`` values.
 
+Minimal polynomials and squarefree parts run on integer matrices and
+integer polynomials (sequences of ints, lowest degree first): ``min_poly``
+scales m to the integer matrix D·m and divides the result back.
+
 Every rational linear combination of matrix rows, sum c_r·row_r, runs
 through ``combine_rows``: the rows with a nonzero coefficient are taken as
 integer rows and summed over one common denominator.  Callers that combine
@@ -51,6 +55,7 @@ the one series mat-vec) skip its zero entries.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -98,10 +103,6 @@ class Polynomial:
             raise DomainError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def monic(self) -> "Polynomial":
-        lead = self.leading()
-        return Polynomial([c / lead for c in self.coeffs])
-
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
@@ -126,35 +127,14 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Polynomial([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Polynomial([])
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial(_polynomial_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quot = [_ZERO] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        rem = list(self.coeffs)
-        dlead = other.leading()
-        dd = other.degree
-        while len(rem) - 1 >= dd and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            k = len(rem) - 1 - dd
-            f = rem[-1] / dlead
-            quot[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
+        quot, rem = _long_division(self.coeffs, other.coeffs, operator.truediv)
         return Polynomial(quot), Polynomial(rem)
 
     def __mod__(self, other):
@@ -165,18 +145,6 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def gcd(self, other) -> "Polynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
-
-    def squarefree_part(self) -> "Polynomial":
-        g = self.gcd(self.derivative())
-        if g.is_constant():
-            return self.monic()
-        return (self // g).monic()
 
     def __call__(self, x):
         """Evaluate at a Fraction or a RationalMatrix (Horner)."""
@@ -210,7 +178,73 @@ def is_squarefree(p: Polynomial) -> bool:
     """True iff gcd(p, p') is constant.  Rejects the zero polynomial."""
     if p.is_zero():
         raise DomainError("zero polynomial")
-    return p.gcd(p.derivative()).is_constant()
+    ints = _integer_row(p.coeffs)[1]
+    return len(integer_squarefree_part(ints)) == len(ints)
+
+
+def integer_squarefree_part(p) -> tuple[int, ...]:
+    """p / gcd(p, p') for a nonzero integer polynomial p, as a primitive
+    integer polynomial with positive leading coefficient.
+
+    The gcd comes from a primitive remainder sequence (Knuth, TAOCP vol. 2,
+    4.6.1).  By Gauss's lemma the quotient of p by a primitive divisor is
+    again integer, and a primitive divisor of a monic p has leading
+    coefficient 1: the squarefree part of a monic p is monic.
+    """
+    a, b = _primitive(p), [i * c for i, c in enumerate(p)][1:]
+    while b:
+        b = _primitive(b)
+        # the pseudo-remainder: a scaled so that every quotient is exact
+        scale = b[-1] ** (len(a) - len(b) + 1)
+        a, b = b, _long_division([scale * c for c in a], b, operator.floordiv)[1]
+    return tuple(_primitive(_long_division(p, a, operator.floordiv)[0]))
+
+
+def _primitive(p) -> list[int]:
+    """p over its content, with positive leading coefficient."""
+    g = gcd(*p)
+    if p[-1] < 0:
+        g = -g
+    return [c // g for c in p]
+
+
+def _long_division(a, b, divide):
+    """(quotient, remainder) of a by b, coefficients lowest degree first,
+    the remainder trimmed of zeros; ``divide`` divides a coefficient by the
+    leading one of b."""
+    rem = list(a)
+    lead, db = b[-1], len(b) - 1
+    quot = [0] * max(0, len(a) - db)
+    for k in range(len(quot) - 1, -1, -1):
+        f = quot[k] = divide(rem[k + db], lead)
+        if f:
+            for i, c in enumerate(b):
+                rem[k + i] -= f * c
+    del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def _polynomial_product(a, b) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def integer_polynomial_columns(p, rows) -> list[list[int]]:
+    """The columns of p(M), by Horner, for an integer polynomial p and the
+    square integer matrix M given as ``rows``."""
+    sparse = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+    cols = [[0] * len(rows) for _ in rows]
+    for c in reversed(p):
+        cols = [_sparse_apply(sparse, col) for col in cols]
+        for i, col in enumerate(cols):
+            col[i] += c
+    return cols
 
 
 def integer_roots(p: Polynomial, bound=None) -> dict[Fraction, int]:
@@ -223,12 +257,7 @@ def integer_roots(p: Polynomial, bound=None) -> dict[Fraction, int]:
     """
     if p.is_zero():
         raise DomainError("zero polynomial has every root")
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
-    ics = [int(c * den) for c in p.coeffs]
-    while ics and ics[-1] == 0:
-        ics.pop()
+    ics = _integer_row(p.coeffs)[1]
     lead = abs(ics[-1])
     if bound is None:
         bound = 1 + max(abs(c) for c in ics) // lead + 1
@@ -248,12 +277,6 @@ def integer_roots(p: Polynomial, bound=None) -> dict[Fraction, int]:
         if mult:
             roots[cand] = mult
     return roots
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _divisors(n):
@@ -639,57 +662,75 @@ def sum_row_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 
 def min_poly(m: RationalMatrix) -> Polynomial:
-    """Monic annihilating polynomial of least degree.
-
-    The lcm of the minimal polynomials of the unit vectors, built one vector
-    at a time: with p the lcm so far, lcm(p, μ_e) = p · μ_w for w = p(m)·e,
-    so only the part of e that p leaves alive costs a Krylov sequence.
-    """
+    """Monic annihilating polynomial of least degree: with D the least
+    common denominator of m and P the minimal polynomial of the integer
+    matrix D·m, the coefficient of x^k is P_k / D^(deg P - k)."""
     if m.rows != m.cols:
         raise DomainError("minimal polynomial needs a square matrix")
-    n = m.rows
-    sparse = [[(j, a) for j, a in enumerate(row) if a] for row in m.entries]
-    p = Polynomial([_ONE])
+    den, rows = integer_matrix(m)
+    p = integer_min_poly(rows)
+    deg = len(p) - 1
+    return Polynomial([Fraction(c, den ** (deg - k)) for k, c in enumerate(p)])
+
+
+def integer_matrix(m: RationalMatrix) -> tuple[int, list[list[int]]]:
+    """(D, rows): D the least common denominator of the entries of m and
+    rows the integer matrix D·m."""
+    den = lcm(*[a.denominator for row in m.entries for a in row])
+    return den, [[a.numerator * (den // a.denominator) for a in row] for row in m.entries]
+
+
+def integer_min_poly(rows) -> tuple[int, ...]:
+    """Minimal polynomial of the square integer matrix ``rows``, monic with
+    integer coefficients, lowest degree first.
+
+    The lcm of the minimal polynomials of the unit vectors, built one vector
+    at a time: with p the lcm so far, lcm(p, μ_e) = p · μ_w for w = p(M)·e,
+    so only the part of e that p leaves alive costs a Krylov sequence.  Each
+    μ_w is a monic divisor of the characteristic polynomial, hence integer
+    by Gauss's lemma.
+    """
+    n = len(rows)
+    sparse = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+    p = [1]
     for i in range(n):
-        w = [_ZERO] * n
-        w[i] = _ONE
-        for c in reversed(p.coeffs[:-1]):
+        w = [0] * n
+        w[i] = 1
+        for c in reversed(p[:-1]):
             w = _sparse_apply(sparse, w)
             w[i] += c
         if any(w):
-            p = p * _vector_min_poly(sparse, w)
-    return p
+            p = _polynomial_product(p, _vector_min_poly(sparse, w))
+    return tuple(p)
 
 
 def _sparse_apply(sparse, v):
-    out = []
-    for row in sparse:
-        acc = _ZERO
-        for j, a in row:
-            if v[j]:
-                acc += a * v[j]
-        out.append(acc)
-    return out
+    return [sum([a * v[j] for j, a in row if v[j]]) for row in sparse]
 
 
-def _vector_min_poly(sparse, w) -> Polynomial:
-    """Monic q of least degree with q(m)·w = 0, by Krylov elimination."""
-    reduced = []  # (pivot, row with row[pivot] = 1, combination over the powers)
+def _vector_min_poly(sparse, w) -> list[int]:
+    """Monic q of least degree with q(M)·w = 0, by fraction-free Krylov
+    elimination: each reduced row is kept with its combination over the
+    powers M^j·w, the two divided by their common content."""
+    reduced = []  # (pivot, row, combination over the powers)
     v = w
     for k in range(len(w) + 1):
-        row = list(v)
-        comb = [_ZERO] * k + [_ONE]
+        row = v
+        comb = [0] * k + [1]
         for pc, r, rc in reduced:
             f = row[pc]
             if f:
-                row = [a - f * b for a, b in zip(row, r)]
+                p = r[pc]
+                row = [p * a - f * b for a, b in zip(row, r)]
+                comb = [p * a for a in comb]
                 for j, b in enumerate(rc):
                     comb[j] -= f * b
         pivot = next((c for c, a in enumerate(row) if a), None)
         if pivot is None:
-            return Polynomial(comb)
-        inv = 1 / row[pivot]
-        reduced.append((pivot, [a * inv for a in row], [a * inv for a in comb]))
+            lead = comb[-1]
+            return [a // lead for a in comb]
+        g = gcd(*row, *comb)
+        reduced.append((pivot, [a // g for a in row], [a // g for a in comb]))
         v = _sparse_apply(sparse, v)
     raise RankDeficiencyError("no dependence found; impossible for square matrix")
 

@@ -3,9 +3,9 @@
 An algebra stores a sparse bracket table over a labeled basis plus, when
 available, one realization matrix per basis vector; consistency of the table
 with the realization and the Jacobi identity are verified at construction.
-Jordan-Chevalley decompositions are computed in the realization by the exact
-Newton iteration on the squarefree part of the minimal polynomial, then
-pulled back to coordinates.
+Jordan-Chevalley decompositions are computed on the realization as an
+integer matrix, from its integer minimal polynomial and that polynomial's
+squarefree part, then pulled back to coordinates.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb, lcm
 
 from .errors import (
     DomainError,
@@ -26,9 +26,13 @@ from .exact import (
     RationalMatrix,
     _combination,
     _fractions,
-    _gcd_int,
+    _integer_row,
     _integer_rows,
+    integer_matrix,
+    integer_min_poly,
+    integer_polynomial_columns,
     integer_roots,
+    integer_squarefree_part,
     intersect_row_spaces,
     is_squarefree,
     min_poly,
@@ -36,7 +40,6 @@ from .exact import (
     rank,
     row_space,
     rref,
-    shifted,
     sum_row_spaces,
 )
 
@@ -226,6 +229,12 @@ class LieAlgebra:
     # -- realization helpers
 
     def realize(self, x: "Element") -> RationalMatrix:
+        den, rows = self.integer_realization(x)
+        return RationalMatrix._trusted(tuple(_fractions(row, den) for row in rows))
+
+    def integer_realization(self, x: "Element") -> tuple[int, list[list[int]]]:
+        """(den, rows): the realization of x is the integer matrix ``rows``
+        over ``den``."""
         if self.realization is None:
             raise DomainError("algebra has no matrix realization")
         size = self.realization[0].rows
@@ -237,8 +246,7 @@ class LieAlgebra:
         for i, a in xs:
             for pos, e in mats[i]:
                 acc[pos] += a * e
-        flat = _fractions(acc, dx * rden)
-        return RationalMatrix._trusted(tuple(flat[r:r + size] for r in range(0, size * size, size)))
+        return dx * rden, [acc[r:r + size] for r in range(0, size * size, size)]
 
     def from_realization(self, mat: RationalMatrix) -> "Element":
         """Element whose realization is mat; error when mat is outside."""
@@ -739,31 +747,44 @@ def build_product(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
 def jordan_chevalley(x: Element) -> tuple[Element, Element]:
     """Split x = s + n with s semisimple, n nilpotent, [s, n] = 0.
 
-    Computed in the matrix realization: Newton iteration y <- y - q(y) u(y)
-    with q the squarefree part of the minimal polynomial and u q' = 1 mod q,
-    then pulled back to algebra coordinates.  Entirely rational; no
-    eigenvalues are extracted.
+    On the integer matrix M = den·realize(x), with P its minimal polynomial
+    and q the squarefree part of P (both monic integer), x is semisimple
+    when q = P.  Otherwise the Newton iteration y <- y - q(y) u(y), with
+    u q' = 1 mod q, runs in Q[x]/(P) from y = x to S, and s is S(M) / den,
+    evaluated by integer Horner.  No eigenvalues are extracted.
     """
     g = x.parent
     if g.realization is None:
         raise DomainError("Jordan-Chevalley split needs a matrix realization")
-    m = g.realize(x)
-    p = min_poly(m)
-    q = p.squarefree_part()
-    if q == p:  # q divides p, so q(m) = 0 exactly when q = p
+    den, rows = g.integer_realization(x)
+    p = integer_min_poly(rows)
+    q = integer_squarefree_part(p)
+    if q == p:  # q divides p, so q(M) = 0 exactly when q = p
         return x, g.zero()
+    p, q = Polynomial(p), Polynomial(q)
     u = _inverse_mod(q.derivative(), q)
-    y = m
+    y = Polynomial([0, 1])
     for _ in range(len(bin(p.degree)) + 2):
-        qy = q(y)
+        qy = _compose_mod(q, y, p)
         if qy.is_zero():
             break
-        y = y - qy * u(y)
+        y = (y - qy * _compose_mod(u, y, p)) % p
     else:
         raise InternalCheckError("Newton iteration for the semisimple part did not converge")
-    s = g.from_realization(y)
-    n = x - s
-    return s, n
+    yden, ints = _integer_row(y.coeffs)
+    cols = integer_polynomial_columns(ints, rows)
+    s = g.from_realization(
+        RationalMatrix._trusted(tuple(_fractions(row, yden * den) for row in zip(*cols)))
+    )
+    return s, x - s
+
+
+def _compose_mod(f: Polynomial, y: Polynomial, modulus: Polynomial) -> Polynomial:
+    """f(y) mod modulus, by Horner."""
+    acc = Polynomial([])
+    for c in reversed(f.coeffs):
+        acc = (acc * y + Polynomial([c])) % modulus
+    return acc
 
 
 def _inverse_mod(f: Polynomial, modulus: Polynomial) -> Polynomial:
@@ -786,10 +807,10 @@ def classify_element(x: Element) -> str:
     g = x.parent
     if g.realization is None:
         raise DomainError("classification needs a matrix realization")
-    p = min_poly(g.realize(x))
-    if all(c == 0 for c in p.coeffs[:-1]):
+    p = integer_min_poly(g.integer_realization(x)[1])
+    if not any(p[:-1]):
         return "nilpotent"
-    if is_squarefree(p):
+    if integer_squarefree_part(p) == p:
         return "semisimple"
     return "mixed"
 
@@ -836,32 +857,28 @@ def normalizer_dimension(sub: Subspace, elements) -> int:
 def rational_eigenvalues(m: RationalMatrix) -> dict[Fraction, int]:
     """Eigenvalues with algebraic multiplicities; all must be rational.
 
-    The matrix is scaled to integer entries, so roots of the (monic integer)
-    minimal polynomial are integers within the Gershgorin radius; the scan is
-    exact.  Raises IrrationalSpectrumError when a nonlinear factor survives.
+    With D the common denominator of m, the minimal polynomial of the
+    integer matrix D·m is monic integer, so its rational roots are integers
+    within the Gershgorin radius; the scan is exact.  Raises
+    IrrationalSpectrumError when a nonlinear factor survives.
     """
-    den = 1
-    for row in m.entries:
-        for e in row:
-            d = e.denominator
-            den = den * d // _gcd_int(den, d)
-    scaled = m if den == 1 else m * den
-    gersh = max(
-        (sum(abs(e) for e in row) for row in scaled.entries), default=Fraction(0)
-    )
-    p = min_poly(scaled)
-    roots = integer_roots(p, bound=gersh + 1)
-    if sum(roots.values()) < p.degree:
+    den, rows = integer_matrix(m)
+    gersh = max((sum(abs(e) for e in row) for row in rows), default=0)
+    p = integer_min_poly(rows)
+    roots = integer_roots(Polynomial(p), bound=gersh + 1)
+    if sum(roots.values()) < len(p) - 1:
         raise IrrationalSpectrumError(
             "matrix has a minimal-polynomial factor with no rational root"
         )
     out = {}
     for lam, mult in roots.items():
-        shift = shifted(scaled, lam)
-        power = shift
-        for _ in range(mult - 1):
-            power = power * shift
-        out[Fraction(lam, den)] = nullspace(power).rows
+        # (x - lam)^mult, whose kernel on D·m is the generalized eigenspace;
+        # its transpose has a kernel of the same dimension
+        power = [comb(mult, k) * int(-lam) ** (mult - k) for k in range(mult + 1)]
+        cols = integer_polynomial_columns(power, rows)
+        out[Fraction(lam, den)] = nullspace(
+            RationalMatrix._trusted(tuple(_fractions(col, 1) for col in cols), m.cols)
+        ).rows
     if sum(out.values()) != m.rows:
         raise InternalCheckError("eigenvalue multiplicities do not sum to the dimension")
     return out

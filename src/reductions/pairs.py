@@ -115,9 +115,6 @@ class SymmetricPair:
     def c_p(self, x: Element) -> Subspace:
         return centralizer_in(x, self.p)
 
-    def c_k(self, x: Element) -> Subspace:
-        return centralizer_in(x, self.k)
-
     def roots(self) -> "RestrictedRootData":
         if self._roots is None:
             self._roots = restricted_roots(self)

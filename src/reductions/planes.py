@@ -156,11 +156,7 @@ def semisimple_part_matrix(u: Plane) -> RationalMatrix:
     represents the semisimple-part map; its kernel is the nilpotent part."""
     if not is_anisotropic_subalgebra(u):
         raise DomainError("semisimple-part map is linear only on abelian planes")
-    rows = []
-    for x in u.basis_elements():
-        s, _ = jordan_chevalley(x)
-        rows.append(list(s.coords))
-    return RationalMatrix(rows)
+    return RationalMatrix._trusted(tuple(jordan_chevalley(x)[0].coords for x in u.basis_elements()))
 
 
 def _kernel_dim(mat: RationalMatrix) -> int:

@@ -35,8 +35,13 @@ from reductions.exact import (
     _prepared,
     _sum_of_products,
     _sum_of_scaled,
+    Polynomial,
     combine_rows,
+    integer_matrix,
+    integer_min_poly,
+    integer_squarefree_part,
     intersect_row_spaces,
+    is_squarefree,
     min_poly,
     nullspace,
     rank,
@@ -227,6 +232,167 @@ def test_rational_eigenvalues_match_sympy(m):
     else:
         with pytest.raises(IrrationalSpectrumError):
             rational_eigenvalues(m)
+
+
+# -- the integer minimal polynomial, squarefree part and Jordan-Chevalley split
+
+
+@needs_sympy
+@settings(max_examples=100, deadline=None)
+@given(m=square_matrices(max_dim=5))
+def test_integer_min_poly_is_the_scaled_rational_one(m):
+    den, rows = integer_matrix(m)
+    assert den == math.lcm(*[a.denominator for a in m.vec()])
+    p = integer_min_poly(rows)
+    deg = len(p) - 1
+    assert p[-1] == 1 and all(type(c) is int for c in p)
+    assert list(p) == [c * den ** (deg - k) for k, c in enumerate(_sympy_min_poly(m))]
+
+
+def test_integer_min_poly_on_edge_cases():
+    assert integer_min_poly([]) == (1,)
+    assert min_poly(RationalMatrix([])).coeffs == (Fraction(1),)
+    assert integer_min_poly([[0, 0], [0, 0]]) == (0, 1)
+    assert integer_min_poly([[-3, 0, 0], [0, -3, 0], [0, 0, -3]]) == (3, 1)
+    # a non-integer matrix: D = 6, and D·m has the minimal polynomial
+    # (x - 3)(x + 2)^2
+    m = RationalMatrix([[Fraction(1, 2), 0, 0], [0, Fraction(-1, 3), 1], [0, 0, Fraction(-1, 3)]])
+    den, rows = integer_matrix(m)
+    assert den == 6 and rows == [[3, 0, 0], [0, -2, 6], [0, 0, -2]]
+    assert integer_min_poly(rows) == (-12, -8, 1, 1)
+    p = min_poly(m)
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.coeffs == (Fraction(-1, 18), Fraction(-2, 9), Fraction(1, 6), Fraction(1))
+
+
+@st.composite
+def integer_polynomials(draw):
+    """Products of small integer factors, some repeated, some not monic."""
+    p = [draw(st.sampled_from([1, -1, 2, -3]))]
+    for _ in range(draw(st.integers(0, 4))):
+        factor = [draw(st.integers(-3, 3)), draw(st.sampled_from([1, 1, 1, 2, -1]))]
+        if draw(st.booleans()):
+            factor = [draw(st.integers(-2, 2))] + factor
+        for _ in range(draw(st.integers(1, 3))):
+            p = [sum(p[i] * factor[k - i] for i in range(len(p)) if 0 <= k - i < len(factor))
+                 for k in range(len(p) + len(factor) - 1)]
+    return p
+
+
+@needs_sympy
+@settings(max_examples=200, deadline=None)
+@given(p=integer_polynomials())
+def test_integer_squarefree_part_matches_sympy(p):
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(p)), x, domain="ZZ")
+    expected = poly.sqf_part().primitive()[1]
+    if expected.LC() < 0:
+        expected = -expected
+    got = integer_squarefree_part(p)
+    assert list(got) == [int(c) for c in reversed(expected.all_coeffs())]
+    assert all(type(c) is int for c in got)
+    assert is_squarefree(Polynomial(p)) == poly.is_sqf
+    if p[-1] == 1:
+        assert got[-1] == 1  # the squarefree part of a monic polynomial is monic
+
+
+def _root_vectors(g):
+    """(index, root) of each basis vector that every Cartan basis vector
+    scales, root its list of scalars."""
+    hs = [g.basis_element(i) for i in g.cartan_indices]
+    out = []
+    for j in range(g.dim):
+        if j in g.cartan_indices:
+            continue
+        e = g.basis_element(j)
+        root = [g.bracket(h, e).coords[j] for h in hs]
+        if all(g.bracket(h, e) == e * a for h, a in zip(hs, root)) and any(root):
+            out.append((j, root))
+    return out
+
+
+def _exp_nilpotent(n: RationalMatrix) -> RationalMatrix:
+    out, term = RationalMatrix.identity(n.rows), RationalMatrix.identity(n.rows)
+    for k in range(1, n.rows + 1):
+        term = term * n * Fraction(1, k)
+        out = out + term
+    return out
+
+
+def _jc_algebras():
+    from reductions.liealg import build_classical
+    from reductions.pairs import make_cartesian_square
+
+    sl2 = build_classical("sl", 2)
+    return {
+        "sl3": build_classical("sl", 3),
+        "square(sl2)": make_cartesian_square(sl2, "square(sl2)").g,
+        "sp4": build_classical("sp", 4),
+    }
+
+
+@st.composite
+def jc_instances(draw):
+    """(algebra, a sparse element, a mixed element): the mixed one is
+    h + c·e for a root vector e and a Cartan element h on the kernel of its
+    root, moved by exp of a realized root vector, so that it is dense."""
+    name = draw(st.sampled_from(sorted(_JC_ALGEBRAS)))
+    g = _JC_ALGEBRAS[name]
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    sparse = [draw(coeff) if draw(st.integers(0, 2)) == 0 else 0 for _ in range(g.dim)]
+    j, root = draw(st.sampled_from(_root_vectors(g)))
+    # h on the kernel of the root: rank 2, so (root[1], -root[0]) spans it
+    h = [Fraction(0)] * g.dim
+    scale = draw(coeff.filter(bool))
+    h[g.cartan_indices[0]] = root[1] * scale
+    h[g.cartan_indices[1]] = -root[0] * scale
+    h[j] = draw(coeff.filter(bool))
+    k, _ = draw(st.sampled_from(_root_vectors(g)))
+    n = g.realize(g.basis_element(k) * draw(coeff))
+    move, back = _exp_nilpotent(n), _exp_nilpotent(-n)
+    mixed = g.from_realization(move * g.realize(g.element(h)) * back)
+    return g, g.element(sparse), mixed
+
+
+_JC_ALGEBRAS = _jc_algebras()
+
+
+def _check_split(x, s, n):
+    from reductions.liealg import classify_element
+
+    g = x.parent
+    assert s + n == x
+    assert g.bracket(s, n).is_zero()
+    assert all(type(c) is Fraction for c in s.coords + n.coords)
+    real_n = g.realize(n)
+    power = RationalMatrix.identity(real_n.rows)
+    for _ in range(real_n.rows):
+        power = power * real_n
+    assert power.is_zero()
+    mp = sympy.Poly(list(reversed(_sympy_min_poly(g.realize(s)))), sympy.Symbol("x"))
+    assert mp.is_sqf
+    assert classify_element(s) in ("semisimple", "zero")
+    sm = to_sympy(g.realize(x))
+    if all(ev.is_rational for ev in sm.eigenvals()):
+        p, j = sm.jordan_form()
+        expected = p * sympy.diag(*[j[i, i] for i in range(j.rows)]) * p.inv()
+        assert g.realize(s).entries == sympy_entries(expected)
+
+
+@needs_sympy
+@settings(max_examples=60, deadline=None)
+@given(inst=jc_instances())
+def test_jordan_chevalley_matches_sympy(inst):
+    from reductions.liealg import classify_element, jordan_chevalley
+
+    _, sparse, mixed = inst
+    # the constructed element is mixed, so every example runs the Newton step
+    assert classify_element(mixed) == "mixed"
+    for x in (sparse, mixed):
+        s, n = jordan_chevalley(x)
+        _check_split(x, s, n)
+    s, n = jordan_chevalley(mixed)
+    assert not s.is_zero() and not n.is_zero()
 
 
 # -- internal constructors return Fractions only

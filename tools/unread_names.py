@@ -1,5 +1,5 @@
 """Fail on dead work in the package: locals that are assigned but never
-read, and imports that are never used.
+read, imports that are never used, and functions that nothing calls.
 
     python3 tools/unread_names.py [FILE ...]
 
@@ -10,8 +10,12 @@ inside a function (by assignment, augmented assignment, a ``for`` or
 function, nested functions and comprehensions included, reads.  Names
 starting with an underscore are deliberate placeholders and are skipped,
 as are names declared ``global`` or ``nonlocal``.  An import is unused when
-no code of its module reads the name it binds.  Prints one line per finding
-and exits 1 when there is any.
+no code of its module reads the name it binds.  A function is dead when
+it is a module-level function or a non-dunder method of a module-level
+class whose name no code under ``src/``, ``tests/``, ``perfbench/`` or
+``tools/`` refers to, outside its own body, as a read name, an attribute
+or an imported name.  Prints one line per finding and exits 1 when there
+is any.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+SEARCHED = ("src", "tests", "perfbench", "tools")  # where a function may be called from
 
 
 def _loads(node):
@@ -80,10 +85,60 @@ def unused_imports(tree):
                 yield node.lineno, f"import {name!r} is never used"
 
 
-def check(path):
+def _parse(path):
     with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=path)
-    findings = sorted(list(unread_locals(tree)) + list(unused_imports(tree)))
+        return ast.parse(fh.read(), filename=path)
+
+
+def _functions(tree):
+    """Every module-level function and every non-dunder method of a
+    module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, SCOPES) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item
+        elif isinstance(node, SCOPES):
+            yield node
+
+
+def _references(tree):
+    """(name, line) of every read name, attribute and imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def reference_index():
+    """name -> [(path, line)] over every Python file of ``SEARCHED``."""
+    index = {}
+    for top in SEARCHED:
+        for path in glob.glob(os.path.join(ROOT, top, "**", "*.py"), recursive=True):
+            for name, line in _references(_parse(path)):
+                index.setdefault(name, []).append((os.path.abspath(path), line))
+    return index
+
+
+def dead_functions(tree, path, index):
+    path = os.path.abspath(path)
+    for func in _functions(tree):
+        own = range(func.lineno, func.end_lineno + 1)
+        if all(p == path and line in own for p, line in index.get(func.name, ())):
+            yield func.lineno, f"function {func.name!r} is never called"
+
+
+def check(path, index):
+    tree = _parse(path)
+    findings = sorted(
+        list(unread_locals(tree)) + list(unused_imports(tree)) + list(dead_functions(tree, path, index))
+    )
     return [f"{os.path.relpath(path, ROOT)}:{line}: {msg}" for line, msg in findings]
 
 
@@ -92,7 +147,8 @@ def main(argv):
         p for p in glob.glob(os.path.join(ROOT, "src", "reductions", "*.py"))
         if os.path.basename(p) != "__init__.py"
     )
-    findings = [line for path in paths for line in check(path)]
+    index = reference_index()
+    findings = [line for path in paths for line in check(path, index)]
     for line in findings:
         print(line)
     return 1 if findings else 0
