@@ -19,6 +19,9 @@ from .errors import DomainError, InternalCheckError
 from .exact import (
     LinearSolver,
     RationalMatrix,
+    _fractions,
+    _reduced_rows,
+    integer_matrix,
     nullspace,
     rank,
     shifted,
@@ -131,15 +134,21 @@ class DecompositionSignature:
 def _square_factor_matrix(pair: SymmetricPair, x: Element) -> RationalMatrix:
     """The left-factor matrix of an anti-diagonal element (y, -y) of a
     Cartesian square of sl_n."""
+    den, rows = _integer_square_factor(pair, x)
+    return RationalMatrix._trusted(tuple(_fractions(row, den) for row in rows))
+
+
+def _integer_square_factor(pair: SymmetricPair, x: Element) -> tuple[int, list[list[int]]]:
+    """(den, rows): the left factor y of an anti-diagonal element (y, -y) is
+    the integer matrix ``rows`` over ``den``."""
     if not pair.p.contains(x):
         raise DomainError("element must lie in p")
-    big = pair.g.realize(x)
-    n = big.rows // 2
-    left = RationalMatrix._trusted(tuple(row[:n] for row in big.entries[:n]))
-    right = RationalMatrix._trusted(tuple(row[n:] for row in big.entries[n:]))
-    if not (left + right).is_zero():
+    den, big = pair.g.integer_realization(x)
+    n = len(big) // 2
+    left = [row[:n] for row in big[:n]]
+    if any(a + b for lrow, row in zip(left, big[n:]) for a, b in zip(lrow, row[n:])):
         raise DomainError("element is not anti-diagonal")
-    return left
+    return den, left
 
 
 def _require_sl_square(pair: SymmetricPair) -> int:
@@ -406,11 +415,12 @@ def make_subvariety(pair: SymmetricPair, anchor: Subspace) -> SubvarietyOfReduct
 
 
 def _jacobian_frame(pair: SymmetricPair):
-    """The x-independent half of the Jacobian map, built once per pair:
-    row j of ``directions`` is the left factor d_j of the j-th basis element
-    of p, transposed and flattened, so its dot product with a flattened
-    matrix N is tr(N·d_j); ``solver`` solves against the Killing Gram matrix
-    of that basis."""
+    """The x-independent half of the Jacobian map, built once per pair: the
+    integer nonzeros of the rows of a positive multiple of G^-1·Dir.  Row j
+    of Dir is the left factor d_j of the j-th basis element of p, transposed
+    and flattened, so its dot product with a flattened matrix N is
+    tr(N·d_j); G^-1 inverts the Killing Gram matrix of that basis, taking a
+    gradient to its dual."""
     frame = getattr(pair, "_jacobian_frame", None)
     if frame is not None:
         return frame
@@ -421,19 +431,40 @@ def _jacobian_frame(pair: SymmetricPair):
     gram = RationalMatrix._trusted(
         tuple(tuple(pair.g.killing(a, b) for b in p_els) for a in p_els)
     )
-    frame = (directions, LinearSolver(gram))
+    try:
+        dual = LinearSolver(gram).inverse() * directions
+    except DomainError:
+        raise InternalCheckError("Killing form is degenerate on p") from None
+    frame = [[(j, a) for j, a in enumerate(row) if a] for row in integer_matrix(dual)[1]]
     pair._jacobian_frame = frame
     return frame
 
 
 def _adjugate_coefficients(y: RationalMatrix) -> list[RationalMatrix]:
-    """N_0..N_{n-1} with adj(λI - y) = Σ λ^{n-1-k} N_k, by the
-    Faddeev-LeVerrier recursion N_0 = I, N_k = y·N_{k-1} + c_k·I, where
-    c_k = -tr(y·N_{k-1})/k is the coefficient of λ^{n-k} in det(λI - y)."""
-    out = [RationalMatrix.identity(y.rows)]
-    for k in range(1, y.rows):
-        prod = y * out[-1]
-        out.append(shifted(prod, prod.trace() / k))
+    """N_0..N_{n-1} with adj(λI - y) = Σ λ^{n-1-k} N_k, from
+    ``_integer_adjugate_coefficients`` on D·y: N_k = M_k / D^k."""
+    den, rows = integer_matrix(y)
+    return [
+        RationalMatrix._trusted(tuple(_fractions(row, den**k) for row in m), y.cols)
+        for k, m in enumerate(_integer_adjugate_coefficients(rows))
+    ]
+
+
+def _integer_adjugate_coefficients(rows) -> list[list[list[int]]]:
+    """M_0..M_{n-1} with adj(λI - Y) = Σ λ^{n-1-k} M_k for the integer
+    matrix Y = ``rows``, by the Faddeev-LeVerrier recursion M_0 = I,
+    M_k = Y·M_{k-1} + c_k·I, where c_k = -tr(Y·M_{k-1})/k is the (integer)
+    coefficient of λ^{n-k} in det(λI - Y), so every division is exact."""
+    n = len(rows)
+    sparse = [[(t, a) for t, a in enumerate(row) if a] for row in rows]
+    out = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for k in range(1, n):
+        prev = out[-1]
+        prod = [[sum([a * prev[t][j] for t, a in row]) for j in range(n)] for row in sparse]
+        c = sum(prod[i][i] for i in range(n)) // k
+        for i in range(n):
+            prod[i][i] -= c
+        out.append(prod)
     return out
 
 
@@ -452,21 +483,17 @@ def jacobian_map(pair: SymmetricPair, x: Element) -> PluckerVector:
     reports it.
     """
     _require_sl_square(pair)
-    y = _square_factor_matrix(pair, x)
-    directions, solver = _jacobian_frame(pair)
-    r = pair.rank
+    # on D·y every vector is a nonzero multiple of the dual of a gradient,
+    # which leaves the rank and the normalized Plücker vector as they are
+    rows = _integer_square_factor(pair, x)[1]
+    frame = _jacobian_frame(pair)
     vectors = []
-    for adj in _adjugate_coefficients(y)[1:]:
-        # the gradient of the next coefficient, then the vector dual to it
-        grad = [-a for a in directions.apply(adj.vec())]
-        v = solver.solve(grad)
-        if v is None:
-            raise InternalCheckError("Killing form is degenerate on p")
-        vectors.append(v)
-    mat = RationalMatrix._trusted(tuple(vectors))
-    if rank(mat) < r:
+    for adj in _integer_adjugate_coefficients(rows)[1:]:
+        flat = [a for row in adj for a in row]
+        vectors.append([sum([a * flat[j] for j, a in row]) for row in frame])
+    if len(_reduced_rows(vectors, pair.p.dim)[1]) < pair.rank:
         raise DomainError("Jacobian wedge vanishes: the element is irregular")
-    return PluckerVector.from_matrix(mat)
+    return PluckerVector.from_integer_rows(vectors, pair.p.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ coercion and the ragged-shape check; the package's own operations return
 through them.  ``LaurentSeries._trusted`` still trims and shifts exactly as
 the public constructor does.  Elimination (``rref``, ``rank``, ``det``) works
 over integer rows inside one call and hands back ``Fraction`` values.
+Callers that hold integer rows call ``integer_det``, ``integer_kernel`` and
+``integer_row_space`` directly, which make no ``Fraction`` but the output.
 
 Minimal polynomials and squarefree parts run on integer matrices and
 integer polynomials (sequences of ints, lowest degree first): ``min_poly``
@@ -147,12 +149,7 @@ class Polynomial:
         return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x):
-        """Evaluate at a Fraction or a RationalMatrix (Horner)."""
-        if isinstance(x, RationalMatrix):
-            acc = RationalMatrix.zero(x.rows, x.cols)
-            for c in reversed(self.coeffs):
-                acc = shifted(acc * x, -c)
-            return acc
+        """Evaluate at a Fraction (Horner)."""
         acc = _ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -408,31 +405,8 @@ class RationalMatrix:
         """Determinant by fraction-free (Bareiss) elimination over integer rows."""
         if self.rows != self.cols:
             raise DomainError("determinant of non-square matrix")
-        n = self.rows
-        scale = 1
-        m = []
-        for row in self.entries:
-            den, ints = _integer_row(row)
-            scale *= den
-            m.append(ints)
-        sign = 1
-        prev = 1
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c]), None)
-            if piv is None:
-                return _ZERO
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                sign = -sign
-            pr = m[c]
-            p = pr[c]
-            for r in range(c + 1, n):
-                row = m[r]
-                f = row[c]
-                # Sylvester's identity makes every quotient exact
-                m[r] = [(p * a - f * b) // prev for a, b in zip(row, pr)]
-            prev = p
-        return Fraction(sign * prev, scale)
+        den, rows = integer_matrix(self)
+        return Fraction(integer_det(rows), den**self.rows)
 
     def __repr__(self):
         return f"RationalMatrix({[list(map(str, r)) for r in self.entries]})"
@@ -445,6 +419,31 @@ def shifted(m: RationalMatrix, lam) -> RationalMatrix:
     return RationalMatrix._trusted(
         tuple(row[:i] + (row[i] - lam,) + row[i + 1 :] for i, row in enumerate(m.entries))
     )
+
+
+def integer_det(rows) -> int:
+    """Determinant of the square integer matrix ``rows`` by fraction-free
+    (Bareiss) elimination; ``rows`` is left as it is."""
+    m = list(rows)
+    n = len(m)
+    sign = 1
+    prev = 1
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        pr = m[c]
+        p = pr[c]
+        for r in range(c + 1, n):
+            row = m[r]
+            f = row[c]
+            # Sylvester's identity makes every quotient exact
+            m[r] = [(p * a - f * b) // prev for a, b in zip(row, pr)]
+        prev = p
+    return sign * prev
 
 
 def _dot(u, v):
@@ -504,26 +503,29 @@ def combine_rows(coeffs, matrix: RationalMatrix) -> tuple[Fraction, ...]:
     )
 
 
-def _reduced_rows(matrix: RationalMatrix):
+def _reduced_rows(rows, cols):
     """Gauss-Jordan elimination over primitive integer rows.
 
-    Returns the nonzero rows of the reduced echelon form, each still an
+    ``rows`` is a list of integer rows of length ``cols``; it is left as it
+    is.  Returns the nonzero rows of the reduced echelon form, each still an
     integer multiple of its normalized form, and the pivot columns.  Every
     row stays a nonzero multiple of the corresponding row of the rational
     elimination, so pivots are found in the same places.
     """
-    m = [_integer_row(row)[1] for row in matrix.entries]
-    rows = matrix.rows
+    m = list(rows)
+    count = len(m)
     pivots = []
     r = 0
-    for c in range(matrix.cols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
+    for c in range(cols):
+        if r == count:
+            break
+        piv = next((i for i in range(r, count) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
         pr = m[r]
         p = pr[c]
-        for i in range(rows):
+        for i in range(count):
             if i != r:
                 row = m[i]
                 f = row[c]
@@ -533,47 +535,84 @@ def _reduced_rows(matrix: RationalMatrix):
                     m[i] = [a // g for a in new] if g > 1 else new
         pivots.append(c)
         r += 1
-        if r == rows:
-            break
     return m[:r], pivots
+
+
+def _scaled_rows(matrix: RationalMatrix):
+    """Each row of ``matrix`` times its least common denominator."""
+    return [_integer_row(row)[1] for row in matrix.entries]
+
+
+def _normalized(rows, pivots):
+    """The rows of ``_reduced_rows`` over their pivot entries, as Fractions."""
+    return tuple(
+        tuple([Fraction(a, row[c]) if a else _ZERO for a in row])
+        for row, c in zip(rows, pivots)
+    )
 
 
 def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot column indices."""
-    ints, pivots = _reduced_rows(matrix)
-    out = [
-        tuple([Fraction(a, row[c]) if a else _ZERO for a in row])
-        for row, c in zip(ints, pivots)
-    ]
-    out.extend([(_ZERO,) * matrix.cols] * (matrix.rows - len(out)))
-    return RationalMatrix._trusted(tuple(out), matrix.cols), tuple(pivots)
+    ints, pivots = _reduced_rows(_scaled_rows(matrix), matrix.cols)
+    out = _normalized(ints, pivots) + ((_ZERO,) * matrix.cols,) * (matrix.rows - len(pivots))
+    return RationalMatrix._trusted(out, matrix.cols), tuple(pivots)
 
 
 def row_space(matrix: RationalMatrix) -> RationalMatrix:
-    """Canonical basis (RREF, zero rows dropped) of the row space."""
-    red, piv = rref(matrix)
-    return RationalMatrix._trusted(red.entries[: len(piv)]) if piv else RationalMatrix.zero(0, matrix.cols)
+    """Canonical basis (RREF, zero rows dropped) of the row space.  The
+    reduced echelon form of a row space is unique, so a matrix already in
+    that form with no zero row is returned as it is."""
+    if _is_reduced(matrix.entries):
+        return matrix
+    return integer_row_space(_scaled_rows(matrix), matrix.cols)
+
+
+def _is_reduced(entries) -> bool:
+    """True when ``entries`` are in reduced echelon form with no zero row."""
+    last = -1
+    for row in entries:
+        c = next((j for j, a in enumerate(row) if a), None)
+        if c is None or c <= last or row[c] != 1 or sum(1 for o in entries if o[c]) != 1:
+            return False
+        last = c
+    return True
+
+
+def integer_row_space(rows, cols) -> RationalMatrix:
+    """``row_space`` of the integer rows ``rows`` of length ``cols``: one
+    elimination on the integers and one Fraction per nonzero entry."""
+    ints, pivots = _reduced_rows(rows, cols)
+    return RationalMatrix._trusted(_normalized(ints, pivots), cols)
 
 
 def rank(matrix: RationalMatrix) -> int:
-    return len(_reduced_rows(matrix)[1])
+    return len(_reduced_rows(_scaled_rows(matrix), matrix.cols)[1])
+
+
+def integer_kernel(rows, cols) -> list[list[int]]:
+    """A kernel basis of the integer matrix ``rows`` with ``cols`` columns:
+    per free column f of its reduced echelon form, the canonical kernel
+    vector (1 at f, 0 at the other free columns) times the lcm of the pivot
+    entries it divides by, so that every entry is an integer."""
+    red, pivots = _reduced_rows(rows, cols)
+    taken = set(pivots)
+    out = []
+    for f in range(cols):
+        if f in taken:
+            continue
+        terms = [(p, row[p], row[f]) for row, p in zip(red, pivots) if row[f]]
+        scale = lcm(*[lead for _, lead, _ in terms])
+        v = [0] * cols
+        v[f] = scale
+        for p, lead, a in terms:
+            v[p] = -a * (scale // lead)
+        out.append(v)
+    return out
 
 
 def nullspace(matrix: RationalMatrix) -> RationalMatrix:
     """Rows form the canonical kernel basis of matrix · x = 0."""
-    red, pivots = rref(matrix)
-    cols = matrix.cols
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [_ZERO] * cols
-        v[f] = _ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red.entries[r][f]
-        basis.append(tuple(v))
-    if not basis:
-        return RationalMatrix.zero(0, cols)
-    return row_space(RationalMatrix._trusted(tuple(basis)))
+    return integer_row_space(integer_kernel(_scaled_rows(matrix), matrix.cols), matrix.cols)
 
 
 def solve(matrix: RationalMatrix, rhs) -> tuple[Fraction, ...] | None:

@@ -28,15 +28,14 @@ from .exact import (
     _fractions,
     _integer_row,
     _integer_rows,
+    integer_kernel,
     integer_matrix,
     integer_min_poly,
     integer_polynomial_columns,
     integer_roots,
+    integer_row_space,
     integer_squarefree_part,
     intersect_row_spaces,
-    is_squarefree,
-    min_poly,
-    nullspace,
     rank,
     row_space,
     rref,
@@ -158,12 +157,12 @@ class LieAlgebra:
     def bracket(self, x: "Element", y: "Element") -> "Element":
         if x.parent is not self or y.parent is not self:
             raise DomainError("bracket of elements with different parents")
-        return Element._trusted(self, self._bracket_scaled(_scaled_nonzeros(x.coords), y.coords))
+        (dx, xs), (dy, ys) = _scaled_nonzeros(x.coords), _scaled_nonzeros(y.coords)
+        return Element._trusted(self, _fractions(self._integer_bracket(xs, ys), dx * dy * self._int_den))
 
-    def _bracket_scaled(self, scaled_x, y_coords):
-        """Coordinates of [x, y], x given once scaled by ``_scaled_nonzeros``."""
-        dx, xs = scaled_x
-        dy, ys = _scaled_nonzeros(y_coords)
+    def _integer_bracket(self, xs, ys) -> list[int]:
+        """L·[x, y] as integers, for x and y given as their integer nonzeros
+        (i, c_i) and L the table's common denominator."""
         acc = [0] * self.dim
         rows = self._int_rows
         for i, a in xs:
@@ -174,7 +173,7 @@ class LieAlgebra:
                     ab = a * b
                     for k, c in terms:
                         acc[k] += ab * c
-        return _fractions(acc, dx * dy * self._int_den)
+        return acc
 
     def ad(self, x: "Element") -> RationalMatrix:
         """Matrix of ad(x) on the algebra's own basis (columns = images)."""
@@ -395,14 +394,18 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis.entries)
 
+    def _integer_echelon(self):
+        """(pivot columns, the basis rows as ``_integer_rows``), built once."""
+        if self._echelon is None:
+            pivots = [next(j for j, c in enumerate(row) if c) for row in self.basis.entries]
+            self._echelon = pivots, _integer_rows(self.basis.entries)
+        return self._echelon
+
     def _projection(self, coords):
         """The entries of ``coords`` at the pivot columns and the combination
         of the basis rows they give.  The basis is in reduced echelon form,
         so the combination is ``coords`` itself exactly when it lies inside."""
-        if self._echelon is None:
-            pivots = [next(j for j, c in enumerate(row) if c) for row in self.basis.entries]
-            self._echelon = pivots, _integer_rows(self.basis.entries)
-        pivots, rows = self._echelon
+        pivots, rows = self._integer_echelon()
         at = tuple(Fraction(coords[c]) for c in pivots)
         return at, _combination(at, rows, self.basis.cols)
 
@@ -700,11 +703,12 @@ def build_g2() -> LieAlgebra:
 def _validate_g2(g):
     for c1, c2 in ((3, 2), (1, 2), (2, 7)):
         h = g.element([c1, c2] + [0] * 12)
-        ad = g.ad(h)
-        eig = rational_eigenvalues(ad)
+        den, rows = integer_matrix(g.ad(h))
+        p = integer_min_poly(rows)
+        eig = integer_spectrum(den, rows, p)
         nonzero = {k: v for k, v in eig.items() if k != 0}
         if len(nonzero) == 12 and all(v == 1 for v in nonzero.values()) and eig.get(0) == 2:
-            if is_squarefree(min_poly(ad)):
+            if integer_squarefree_part(p) == p:
                 return  # 12 distinct root values, squarefree adjoint action
     raise InternalCheckError("root-space decomposition of the built algebra is wrong")
 
@@ -822,15 +826,18 @@ def centralizer_in(x: Element, v: Subspace) -> Subspace:
         raise DomainError("element and subspace live in different algebras")
     if v.dim == 0:
         return v
-    scaled_x = _scaled_nonzeros(x.coords)  # once for all the rows of v
-    images = tuple(g._bracket_scaled(scaled_x, row) for row in v.basis.entries)
-    ker = nullspace(RationalMatrix._trusted(images).transpose())
-    if not ker.rows:
-        return Subspace(g, RationalMatrix.zero(0, g.dim))
-    basis = _integer_rows(v.basis.entries)
-    return Subspace(g, RationalMatrix._trusted(
-        tuple(_combination(combo, basis, g.dim) for combo in ker.entries)
-    ))
+    # on the integer rows d_r·v_r of the basis, an integer kernel vector c of
+    # their brackets with x gives the element sum c_r·d_r·v_r of the kernel
+    xs = _scaled_nonzeros(x.coords)[1]
+    basis = v._integer_echelon()[1]
+    images = [g._integer_bracket(xs, row) for _, row in basis]
+    ker = integer_kernel([col for col in zip(*images) if any(col)], v.dim)
+    combos = [[0] * g.dim for _ in ker]
+    for acc, c in zip(combos, ker):
+        for f, (_, row) in zip(c, basis):
+            for i, e in row:
+                acc[i] += f * e
+    return Subspace(g, integer_row_space(combos, g.dim))
 
 
 def centralizer_of_subspace(w: Subspace, v: Subspace) -> Subspace:
@@ -863,8 +870,13 @@ def rational_eigenvalues(m: RationalMatrix) -> dict[Fraction, int]:
     IrrationalSpectrumError when a nonlinear factor survives.
     """
     den, rows = integer_matrix(m)
+    return integer_spectrum(den, rows, integer_min_poly(rows))
+
+
+def integer_spectrum(den, rows, p) -> dict[Fraction, int]:
+    """``rational_eigenvalues`` of ``rows`` / ``den``, for a square integer
+    matrix ``rows`` with minimal polynomial p (``integer_min_poly``)."""
     gersh = max((sum(abs(e) for e in row) for row in rows), default=0)
-    p = integer_min_poly(rows)
     roots = integer_roots(Polynomial(p), bound=gersh + 1)
     if sum(roots.values()) < len(p) - 1:
         raise IrrationalSpectrumError(
@@ -876,9 +888,7 @@ def rational_eigenvalues(m: RationalMatrix) -> dict[Fraction, int]:
         # its transpose has a kernel of the same dimension
         power = [comb(mult, k) * int(-lam) ** (mult - k) for k in range(mult + 1)]
         cols = integer_polynomial_columns(power, rows)
-        out[Fraction(lam, den)] = nullspace(
-            RationalMatrix._trusted(tuple(_fractions(col, 1) for col in cols), m.cols)
-        ).rows
-    if sum(out.values()) != m.rows:
+        out[Fraction(lam, den)] = len(integer_kernel(cols, len(rows)))
+    if sum(out.values()) != len(rows):
         raise InternalCheckError("eigenvalue multiplicities do not sum to the dimension")
     return out

@@ -26,8 +26,9 @@ from .exact import (
     _combination,
     _integer_rows,
     combine_rows,
-    is_squarefree,
-    min_poly,
+    integer_matrix,
+    integer_min_poly,
+    integer_squarefree_part,
     nullspace,
     rat,
     shifted,
@@ -43,6 +44,7 @@ from .liealg import (
     centralizer_in,
     centralizer_of_subspace,
     classify_element,
+    integer_spectrum,
     rational_eigenvalues,
 )
 
@@ -274,9 +276,11 @@ def restricted_roots(pair: SymmetricPair) -> RestrictedRootData:
     for coeffs in _generic_coefficient_families(r):
         astar = Element._trusted(g, combine_rows(coeffs, pair.cartan.basis))
         ad = g.ad(astar)
-        if not is_squarefree(min_poly(ad)):
+        den, rows = integer_matrix(ad)
+        p = integer_min_poly(rows)
+        if integer_squarefree_part(p) != p:
             raise InternalCheckError("generic Cartan element acts non-semisimply")
-        eig = rational_eigenvalues(ad)
+        eig = integer_spectrum(den, rows, p)
         try:
             return _weight_spaces(pair, a_els, coeffs, ad, eig)
         except _NotJointError as exc:

@@ -13,7 +13,16 @@ import random
 from fractions import Fraction
 
 from .errors import DomainError, InternalCheckError
-from .exact import RationalMatrix, combine_rows, in_row_space, nullspace, rank, row_space
+from .exact import (
+    RationalMatrix,
+    _scaled_rows,
+    combine_rows,
+    in_row_space,
+    integer_det,
+    nullspace,
+    rank,
+    row_space,
+)
 from .liealg import Element, Subspace, jordan_chevalley
 from .pairs import SymmetricPair, singular_kernels
 
@@ -80,24 +89,33 @@ class PluckerVector:
     __slots__ = ("n", "r", "coords")
 
     def __init__(self, n, r, coords):
+        """``coords`` maps index tuples to the minors (ints or Fractions) up to
+        one common nonzero scale."""
         self.n = n
         self.r = r
         items = sorted(coords.items())
         lead = next((v for _, v in items if v != 0), None)
         if lead is None:
             raise DomainError("zero Plücker vector")
-        self.coords = {k: v / lead for k, v in items if v != 0}
+        num, den = lead.denominator, lead.numerator  # 1 / lead
+        self.coords = {
+            k: Fraction(v.numerator * num, v.denominator * den) for k, v in items if v != 0
+        }
 
     @staticmethod
     def from_matrix(matrix: RationalMatrix) -> "PluckerVector":
-        r, n = matrix.rows, matrix.cols
-        coords = {}
-        for combo in itertools.combinations(range(n), r):
-            sub = RationalMatrix._trusted(
-                tuple(tuple(row[j] for j in combo) for row in matrix.entries)
-            )
-            coords[combo] = sub.det()
-        return PluckerVector(n, r, coords)
+        return PluckerVector.from_integer_rows(_scaled_rows(matrix), matrix.cols)
+
+    @staticmethod
+    def from_integer_rows(rows, n) -> "PluckerVector":
+        """The Plücker vector of the integer rows ``rows`` of length n, from
+        their integer minors.  Scaling a row by a nonzero number scales every
+        minor alike, so it leaves the vector unchanged."""
+        r = len(rows)
+        return PluckerVector(n, r, {
+            combo: integer_det([[row[j] for j in combo] for row in rows])
+            for combo in itertools.combinations(range(n), r)
+        })
 
     def proportional_to(self, other: "PluckerVector") -> bool:
         return self.n == other.n and self.r == other.r and self.coords == other.coords

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,14 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reductions.errors import DomainError
-from reductions.exact import RationalMatrix, rat
+from reductions.exact import LinearSolver, RationalMatrix, rank, rat
 from reductions.liealg import Element, classify_element
 from reductions.pairs import sample_k_automorphism, singular_kernels, square_of
-from reductions.planes import cartan_plane, is_anisotropic_subalgebra, plane_from_basis
+from reductions.planes import (
+    PluckerVector,
+    cartan_plane,
+    is_anisotropic_subalgebra,
+    plane_from_basis,
+)
 from reductions.analysis import (
     DecompositionSignature,
     IncidencePoint,
     _adjugate_coefficients,
+    _square_factor_matrix,
     all_signatures,
     centralizer_map,
     decomposition_signature,
@@ -330,6 +337,75 @@ def test_jacobian_irregular_vanishes():
     pair = square_of("sl3")
     with pytest.raises(DomainError):
         jacobian_map(pair, square_element(pair, D(1, 1, -2)))
+
+
+# -- the Jacobian map against its Fraction route
+
+
+def fraction_jacobian(pair, x):
+    """The Jacobian map as it ran on Fractions: the Faddeev-LeVerrier
+    coefficients of y, each gradient through the directions and the Killing
+    solver, and every maximal minor by ``RationalMatrix.det``."""
+    y = _square_factor_matrix(pair, x)
+    p_els = [pair.from_p_coords(row) for row in RationalMatrix.identity(pair.p.dim).entries]
+    directions = RationalMatrix([_square_factor_matrix(pair, e).transpose().vec() for e in p_els])
+    solver = LinearSolver(RationalMatrix([[pair.g.killing(a, b) for b in p_els] for a in p_els]))
+    adj = [RationalMatrix.identity(y.rows)]
+    for k in range(1, y.rows):
+        prod = y * adj[-1]
+        adj.append(prod - RationalMatrix.identity(y.rows) * (prod.trace() / k))
+    vectors = [solver.solve([-a for a in directions.apply(n.vec())]) for n in adj[1:]]
+    mat = RationalMatrix(vectors)
+    if rank(mat) < pair.rank:
+        raise DomainError("Jacobian wedge vanishes")
+    minors = {
+        combo: RationalMatrix([[row[j] for j in combo] for row in mat.entries]).det()
+        for combo in itertools.combinations(range(mat.cols), mat.rows)
+    }
+    return PluckerVector(mat.cols, mat.rows, minors)
+
+
+@st.composite
+def square_elements(draw):
+    """(pair, x) for x = (y, -y) in square(sl2) or square(sl3): y traceless,
+    with integer or fractional entries, often sparse so that irregular
+    elements come up."""
+    n = draw(st.sampled_from([2, 3]))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    )
+    y = RationalMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+    y = y - RationalMatrix.identity(n) * (y.trace() / n)
+    pair = square_of(f"sl{n}")
+    return pair, square_element(pair, y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_elements())
+def test_jacobian_map_matches_the_fraction_route(inst):
+    pair, x = inst
+    try:
+        expected = fraction_jacobian(pair, x)
+    except DomainError:
+        assert not is_regular(pair, x)
+        with pytest.raises(DomainError):
+            jacobian_map(pair, x)
+        return
+    got = jacobian_map(pair, x)
+    assert got == expected and got.coords == expected.coords
+    assert all(type(v) is Fraction for v in got.coords.values())
+
+
+def test_jacobian_map_routes_agree_on_irregular_elements():
+    for name, y in (("sl3", D(1, 1, -2)), ("sl3", E(3, 0, 2)), ("sl2", D(0, 0))):
+        pair = square_of(name)
+        x = square_element(pair, y)
+        assert not is_regular(pair, x)
+        for route in (fraction_jacobian, jacobian_map):
+            with pytest.raises(DomainError):
+                route(pair, x)
 
 
 # -- the gradient route: Jacobi's formula on the adjugate coefficients

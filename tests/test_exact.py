@@ -14,6 +14,8 @@ from reductions.exact import (
     RationalMatrix,
     SeriesMatrix,
     coordinates_in_row_space,
+    integer_matrix,
+    integer_polynomial_columns,
     integer_roots,
     is_squarefree,
     min_poly,
@@ -85,7 +87,13 @@ def test_min_poly_annihilates_and_is_minimal():
     for _ in range(10):
         m = RationalMatrix([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
         p = min_poly(m)
-        assert p(m).is_zero()
+        # P(m) = 0 exactly when D^deg·P(M / D) = sum p_k·D^(deg-k)·M^k
+        # vanishes on the integer matrix M = D·m, evaluated by integer Horner
+        den, rows = integer_matrix(m)
+        scaled = [c * den ** (p.degree - k) for k, c in enumerate(p.coeffs)]
+        assert all(c.denominator == 1 for c in scaled)
+        cols = integer_polynomial_columns([int(c) for c in scaled], rows)
+        assert not any(any(col) for col in cols)
         # minimality: no monic polynomial of smaller degree annihilates
         for d in range(p.degree):
             # powers up to degree d are linearly independent as vectors

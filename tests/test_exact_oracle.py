@@ -37,6 +37,8 @@ from reductions.exact import (
     _sum_of_scaled,
     Polynomial,
     combine_rows,
+    integer_det,
+    integer_kernel,
     integer_matrix,
     integer_min_poly,
     integer_squarefree_part,
@@ -52,6 +54,7 @@ from reductions.exact import (
     valuation_adapted_reduce,
 )
 from reductions.pairs import k_nilpotent_elements, make_transpose_pair, square_of
+from reductions.planes import PluckerVector
 
 try:
     import sympy
@@ -393,6 +396,114 @@ def test_jordan_chevalley_matches_sympy(inst):
         _check_split(x, s, n)
     s, n = jordan_chevalley(mixed)
     assert not s.is_zero() and not n.is_zero()
+
+
+# -- the integer kernels: Bareiss determinant, integer kernel, row space
+# and Plücker vector
+
+
+@st.composite
+def shaped_matrices(draw, max_dim=5):
+    """Like ``matrices``, but a matrix with no rows keeps its column count."""
+    m = draw(matrices(max_dim=max_dim))
+    if m.rows == 0:
+        return RationalMatrix.zero(0, draw(st.integers(0, max_dim)))
+    return m
+
+
+@needs_sympy
+@settings(max_examples=150, deadline=None)
+@given(m=square_matrices())
+def test_integer_det_matches_sympy(m):
+    den, rows = integer_matrix(m)
+    before = [list(row) for row in rows]
+    d = integer_det(rows)
+    assert type(d) is int
+    assert rows == before  # the argument is left as it is
+    assert d == from_sympy(to_sympy(m).det() * den**m.rows)
+    assert m.det() == from_sympy(to_sympy(m).det())
+
+
+@needs_sympy
+@settings(max_examples=150, deadline=None)
+@given(m=shaped_matrices())
+def test_integer_kernel_matches_nullspace_and_sympy(m):
+    rows = [integer_matrix(RationalMatrix([row]))[1][0] for row in m.entries]
+    ker = integer_kernel(rows, m.cols)
+    s_ker = to_sympy(m).nullspace()
+    assert len(ker) == len(s_ker) == m.cols - rank(m)
+    pivots = rref(m)[1]
+    free = [c for c in range(m.cols) if c not in pivots]
+    for v, f in zip(ker, free):
+        # one integer vector per free column, zero on the other free columns
+        assert all(type(a) is int for a in v) and len(v) == m.cols
+        assert v[f] > 0 and not any(v[c] for c in free if c != f)
+        assert all(a == 0 for a in m.apply(v))
+    canon = row_space(RationalMatrix(ker)) if ker else RationalMatrix.zero(0, m.cols)
+    assert canon == nullspace(m)
+    if s_ker:
+        stacked = sympy.Matrix.hstack(*s_ker).T
+        assert canon.entries == sympy_entries(stacked.rref()[0])
+
+
+@needs_sympy
+@settings(max_examples=150, deadline=None)
+@given(m=shaped_matrices())
+def test_row_space_matches_sympy_and_keeps_reduced_input(m):
+    canon = row_space(m)
+    s_red, s_pivots = to_sympy(m).rref()
+    assert canon.entries == sympy_entries(s_red)[: len(s_pivots)]
+    assert canon.cols == m.cols and all_fractions(canon)
+    # reduced input with no zero row comes back as the same object
+    assert row_space(canon) is canon
+    # the same rows with a zero row, or out of order, are reduced again
+    padded = RationalMatrix._trusted(canon.entries + ((Fraction(0),) * m.cols,), m.cols)
+    assert row_space(padded) is not padded and row_space(padded) == canon
+    if canon.rows > 1:
+        swapped = RationalMatrix._trusted(canon.entries[::-1], m.cols)
+        assert row_space(swapped) is not swapped and row_space(swapped) == canon
+
+
+def test_row_space_reduces_input_that_is_not_reduced():
+    # each condition of the reduced form fails once: a pivot that is not
+    # one, a nonzero above a pivot, pivots out of order, a repeated pivot
+    identity = RationalMatrix.identity(2)
+    for entries in ([[2, 0], [0, 1]], [[1, 1], [0, 1]], [[0, 1], [1, 0]]):
+        m = RationalMatrix(entries)
+        assert row_space(m) is not m and row_space(m) == identity
+    assert row_space(RationalMatrix([[1, 0], [1, 0]])) == RationalMatrix([[1, 0]])
+
+
+def _sympy_plucker(m: RationalMatrix):
+    """Every nonzero maximal minor over the first nonzero one, or None."""
+    sm = to_sympy(m)
+    minors = {
+        combo: sm.extract(list(range(m.rows)), list(combo)).det() if m.rows else sympy.Integer(1)
+        for combo in itertools.combinations(range(m.cols), m.rows)
+    }
+    lead = next((v for v in minors.values() if v != 0), None)
+    if lead is None:
+        return None
+    return {k: from_sympy(v / lead) for k, v in minors.items() if v != 0}
+
+
+@needs_sympy
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_plucker_vector_matches_sympy_minors(data):
+    n = data.draw(st.integers(0, 6))
+    r = data.draw(st.integers(0, n))  # r = 0 and r = n included
+    m = data.draw(matrices(rows=r, cols=n)) if r else RationalMatrix.zero(0, n)
+    expected = _sympy_plucker(m)
+    if expected is None:
+        with pytest.raises(DomainError):
+            PluckerVector.from_matrix(m)
+        return
+    pv = PluckerVector.from_matrix(m)
+    assert (pv.n, pv.r) == (n, r)
+    assert pv.coords == expected
+    assert list(pv.coords) == sorted(expected)
+    assert all(type(v) is Fraction for v in pv.coords.values())
 
 
 # -- internal constructors return Fractions only

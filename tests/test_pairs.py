@@ -9,6 +9,7 @@ from reductions.pairs import (
     dim_reduction_variety,
     derived_pair_maps,
     find_cartan_subspace,
+    make_cartesian_square,
     make_transpose_pair,
     restrict_pair,
     singular_kernels,
@@ -26,6 +27,29 @@ def test_square_sl2_shape():
 def test_square_sl3_shape():
     pair = square_of("sl3")
     assert pair.p.dim == 8 and pair.rank == 2
+
+
+def test_restricted_roots_compute_each_minimal_polynomial_once(monkeypatch):
+    # the squarefree check and the eigenvalues of one ad matrix read one
+    # integer minimal polynomial; square(sl3) tries two generic elements
+    import reductions.exact as exact
+    import reductions.liealg as liealg
+    import reductions.pairs as pairs
+
+    pair = make_cartesian_square(build_classical("sl", 3))
+    seen = []
+    original = exact.integer_min_poly
+
+    def counting(rows):
+        seen.append(rows)
+        return original(rows)
+
+    for module in (exact, liealg, pairs):
+        if hasattr(module, "integer_min_poly"):
+            monkeypatch.setattr(module, "integer_min_poly", counting)
+    pair.roots()
+    assert len(seen) == 2
+    assert len({repr(rows) for rows in seen}) == 2
 
 
 def test_square_g2_shape():
