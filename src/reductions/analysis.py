@@ -19,11 +19,9 @@ from .errors import DomainError, InternalCheckError
 from .exact import (
     LinearSolver,
     RationalMatrix,
-    _fractions,
-    _reduced_rows,
-    integer_matrix,
     nullspace,
     rank,
+    rational_eigenvalues,
     shifted,
 )
 from .liealg import (
@@ -31,7 +29,6 @@ from .liealg import (
     Subspace,
     centralizer_of_subspace,
     jordan_chevalley,
-    rational_eigenvalues,
 )
 from .pairs import (
     SymmetricPair,
@@ -134,21 +131,14 @@ class DecompositionSignature:
 def _square_factor_matrix(pair: SymmetricPair, x: Element) -> RationalMatrix:
     """The left-factor matrix of an anti-diagonal element (y, -y) of a
     Cartesian square of sl_n."""
-    den, rows = _integer_square_factor(pair, x)
-    return RationalMatrix._trusted(tuple(_fractions(row, den) for row in rows))
-
-
-def _integer_square_factor(pair: SymmetricPair, x: Element) -> tuple[int, list[list[int]]]:
-    """(den, rows): the left factor y of an anti-diagonal element (y, -y) is
-    the integer matrix ``rows`` over ``den``."""
     if not pair.p.contains(x):
         raise DomainError("element must lie in p")
-    den, big = pair.g.integer_realization(x)
-    n = len(big) // 2
-    left = [row[:n] for row in big[:n]]
-    if any(a + b for lrow, row in zip(left, big[n:]) for a, b in zip(lrow, row[n:])):
+    big = pair.g.realize(x)
+    n = big.rows // 2
+    left = [row[:n] for row in big.ints[:n]]
+    if any(a + b for lrow, row in zip(left, big.ints[n:]) for a, b in zip(lrow, row[n:])):
         raise DomainError("element is not anti-diagonal")
-    return den, left
+    return RationalMatrix.from_integers(big.den, left, n)
 
 
 def _require_sl_square(pair: SymmetricPair) -> int:
@@ -425,38 +415,25 @@ def _jacobian_frame(pair: SymmetricPair):
     if frame is not None:
         return frame
     p_els = [pair.from_p_coords(row) for row in RationalMatrix.identity(pair.p.dim).entries]
-    directions = RationalMatrix._trusted(
-        tuple(_square_factor_matrix(pair, e).transpose().vec() for e in p_els)
-    )
-    gram = RationalMatrix._trusted(
-        tuple(tuple(pair.g.killing(a, b) for b in p_els) for a in p_els)
-    )
+    directions = RationalMatrix([_square_factor_matrix(pair, e).transpose().vec() for e in p_els])
+    gram = RationalMatrix([[pair.g.killing(a, b) for b in p_els] for a in p_els])
     try:
         dual = LinearSolver(gram).inverse() * directions
     except DomainError:
         raise InternalCheckError("Killing form is degenerate on p") from None
-    frame = [[(j, a) for j, a in enumerate(row) if a] for row in integer_matrix(dual)[1]]
+    frame = [[(j, a) for j, a in enumerate(row) if a] for row in dual.ints]
     pair._jacobian_frame = frame
     return frame
 
 
 def _adjugate_coefficients(y: RationalMatrix) -> list[RationalMatrix]:
-    """N_0..N_{n-1} with adj(λI - y) = Σ λ^{n-1-k} N_k, from
-    ``_integer_adjugate_coefficients`` on D·y: N_k = M_k / D^k."""
-    den, rows = integer_matrix(y)
-    return [
-        RationalMatrix._trusted(tuple(_fractions(row, den**k) for row in m), y.cols)
-        for k, m in enumerate(_integer_adjugate_coefficients(rows))
-    ]
-
-
-def _integer_adjugate_coefficients(rows) -> list[list[list[int]]]:
-    """M_0..M_{n-1} with adj(λI - Y) = Σ λ^{n-1-k} M_k for the integer
-    matrix Y = ``rows``, by the Faddeev-LeVerrier recursion M_0 = I,
-    M_k = Y·M_{k-1} + c_k·I, where c_k = -tr(Y·M_{k-1})/k is the (integer)
-    coefficient of λ^{n-k} in det(λI - Y), so every division is exact."""
-    n = len(rows)
-    sparse = [[(t, a) for t, a in enumerate(row) if a] for row in rows]
+    """N_0..N_{n-1} with adj(λI - y) = Σ λ^{n-1-k} N_k, as M_k / D^k from
+    the integer matrix Y = D·y (D = y.den), by the Faddeev-LeVerrier
+    recursion M_0 = I, M_k = Y·M_{k-1} + c_k·I, where c_k = -tr(Y·M_{k-1})/k
+    is the (integer) coefficient of λ^{n-k} in det(λI - Y), so every
+    division is exact."""
+    n = y.rows
+    sparse = [[(t, a) for t, a in enumerate(row) if a] for row in y.ints]
     out = [[[int(i == j) for j in range(n)] for i in range(n)]]
     for k in range(1, n):
         prev = out[-1]
@@ -465,7 +442,7 @@ def _integer_adjugate_coefficients(rows) -> list[list[list[int]]]:
         for i in range(n):
             prod[i][i] -= c
         out.append(prod)
-    return out
+    return [RationalMatrix.from_integers(y.den**k, m, n) for k, m in enumerate(out)]
 
 
 def jacobian_map(pair: SymmetricPair, x: Element) -> PluckerVector:
@@ -483,17 +460,18 @@ def jacobian_map(pair: SymmetricPair, x: Element) -> PluckerVector:
     reports it.
     """
     _require_sl_square(pair)
-    # on D·y every vector is a nonzero multiple of the dual of a gradient,
-    # which leaves the rank and the normalized Plücker vector as they are
-    rows = _integer_square_factor(pair, x)[1]
+    # on the integer rows of N_k every vector is a nonzero multiple of the
+    # dual of a gradient, which leaves the rank and the normalized Plücker
+    # vector as they are
     frame = _jacobian_frame(pair)
     vectors = []
-    for adj in _integer_adjugate_coefficients(rows)[1:]:
-        flat = [a for row in adj for a in row]
+    for adj in _adjugate_coefficients(_square_factor_matrix(pair, x))[1:]:
+        flat = [a for row in adj.ints for a in row]
         vectors.append([sum([a * flat[j] for j, a in row]) for row in frame])
-    if len(_reduced_rows(vectors, pair.p.dim)[1]) < pair.rank:
+    wedge = RationalMatrix.from_integers(1, vectors, pair.p.dim)
+    if rank(wedge) < pair.rank:
         raise DomainError("Jacobian wedge vanishes: the element is irregular")
-    return PluckerVector.from_integer_rows(vectors, pair.p.dim)
+    return PluckerVector.from_matrix(wedge)
 
 
 # ---------------------------------------------------------------------------

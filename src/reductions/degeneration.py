@@ -231,12 +231,10 @@ def _ad_powers(g, y: Element, basis, pivots):
     else:
         raise DomainError("curve generator does not act nilpotently")
     # row j: [y, b_j] for basis row b_j, and its coordinates at the pivots
-    images = RationalMatrix._trusted(tuple(
-        g.bracket(y, Element._trusted(g, row)).coords for row in basis.entries
-    ))
-    coords = RationalMatrix._trusted(tuple(
-        tuple(row[c] for c in pivots) for row in images.entries
-    ))
+    images = RationalMatrix([g.bracket(y, Element._trusted(g, row)).coords for row in basis.entries])
+    coords = RationalMatrix.from_integers(
+        images.den, [[row[c] for c in pivots] for row in images.ints], len(pivots)
+    )
     if coords * basis != images:
         raise InternalCheckError("curve does not preserve p")
     block = coords.transpose()
@@ -262,11 +260,12 @@ def _polynomial_matrix(terms, exponent, shift=0):
     lo = min(0, span)
     cells = {}
     for k, (coef, mat) in enumerate(terms):
-        for i, row in enumerate(mat.entries):
+        scale = Fraction(coef, mat.den)  # over the integer rows of mat
+        for i, row in enumerate(mat.ints):
             for j, a in enumerate(row):
                 if a:
                     cs = cells.setdefault((i, j), [_ZERO] * (abs(span) + 1))
-                    cs[k * exponent - lo] += coef * a
+                    cs[k * exponent - lo] += scale * a
     zero = LaurentSeries.zero()
     return SeriesMatrix._trusted(tuple(
         tuple([LaurentSeries._trusted(lo + shift, cells[i, j], None) if (i, j) in cells else zero
@@ -654,7 +653,7 @@ def limit_computation(curve, plane) -> LimitComputation:
     moving = _moving_matrix(curve, basis)
     flag = _flag_from_moving(moving, basis)
     adapted = _adapted_basis(flag)
-    vectors = RationalMatrix._trusted(tuple(combine_rows(c, basis) for c, _ in adapted))
+    vectors = RationalMatrix([c for c, _ in adapted]) * basis
     moved = _moving_matrix(curve, vectors)
 
     # wedge additivity on every initial segment of the adapted basis; a
@@ -700,9 +699,9 @@ def limit_computation(curve, plane) -> LimitComputation:
 def _tempered_frame(matrix: SeriesMatrix, orders) -> RationalMatrix:
     """The tempered frame at t = 0: row j is column j of ``matrix`` read at
     t^orders[j].  Raises unless the rows stay independent."""
-    frame = RationalMatrix._trusted(tuple(
-        tuple(e.coeff_at(om) for e in matrix.column(j)) for j, om in enumerate(orders)
-    ))
+    frame = RationalMatrix([
+        [e.coeff_at(om) for e in matrix.column(j)] for j, om in enumerate(orders)
+    ])
     if rank(frame) != len(orders):
         raise InternalCheckError("tempered frame does not stay a frame at t = 0")
     return frame
@@ -750,7 +749,7 @@ def non_adapted_additivity_fails(curve, plane) -> bool:
     j = omegas.index(max(omegas))
     combos = [list(c) for c, _ in adapted]
     combos[j] = [a + b2 for a, b2 in zip(combos[j], combos[i])]
-    vectors = RationalMatrix._trusted(tuple(combine_rows(c, basis) for c in combos))
+    vectors = RationalMatrix(combos) * basis
     moved = _moving_matrix(curve, vectors)
     spoiled = [min_valuation(moved.column(c)) for c in range(len(combos))]
     if _additivity_break(moved, spoiled) is None:

@@ -8,7 +8,7 @@ four value types in this module:
 * ``LaurentSeries``     Laurent series in one parameter t, either exact
                         (finite support, no unknown tail) or truncated with a
                         recorded precision bound
-* ``RationalMatrix``    immutable matrices over Q
+* ``RationalMatrix``    immutable matrices over Q, stored as integer rows
 * ``SeriesMatrix``      immutable matrices over LaurentSeries
 
 A truncated series knows the exponent below which its coefficients are
@@ -24,25 +24,29 @@ eliminates fraction-free, so its limits need no truncation order.
 Invariant: matrix entries, series coefficients and (in ``liealg``) element
 coordinates are always ``Fraction``, never ``int``, so that ``1 / x`` stays
 exact.  The public constructors coerce every value with ``Fraction`` and
-check shapes.  The ``_trusted`` constructors (``RationalMatrix._trusted``,
-``SeriesMatrix._trusted``, ``LaurentSeries._trusted`` and
+check shapes.  The ``_trusted`` constructors of series and elements
+(``SeriesMatrix._trusted``, ``LaurentSeries._trusted`` and
 ``Element._trusted``) take values that are already ``Fraction`` and skip the
-coercion and the ragged-shape check; the package's own operations return
-through them.  ``LaurentSeries._trusted`` still trims and shifts exactly as
-the public constructor does.  Elimination (``rref``, ``rank``, ``det``) works
-over integer rows inside one call and hands back ``Fraction`` values.
-Callers that hold integer rows call ``integer_det``, ``integer_kernel`` and
-``integer_row_space`` directly, which make no ``Fraction`` but the output.
+coercion and the ragged-shape check; ``LaurentSeries._trusted`` still trims
+and shifts exactly as the public constructor does.
 
-Minimal polynomials and squarefree parts run on integer matrices and
-integer polynomials (sequences of ints, lowest degree first): ``min_poly``
-scales m to the integer matrix D·m and divides the result back.
-
+A ``RationalMatrix`` has one stored form: ``den``, the least common
+denominator of its entries, and ``ints``, the integer rows den·m.  The pair
+is canonical, so equality and hashing compare integers, and ``entries``
+(``Fraction`` rows) is built on first read.  Every operation on matrices
+(products, sums, ``apply``, ``det``, elimination, kernels, minimal
+polynomials, eigenvalues) runs on the integer rows and returns a matrix
+through ``RationalMatrix.from_integers``, which reduces a denominator and
+integer rows to the canonical pair; a ``Fraction`` is made only where a
+caller reads one.  The integer kernels behind them (Gauss-Jordan in
+``_reduced_rows``, Bareiss in ``_det``, Krylov in ``_vector_min_poly``,
+Horner in ``_polynomial_columns``) are private.  ``min_poly`` runs on D·m,
+whose minimal polynomial is monic integer, and divides the result back.
 Every rational linear combination of matrix rows, sum c_r·row_r, runs
-through ``combine_rows``: the rows with a nonzero coefficient are taken as
-integer rows and summed over one common denominator.  Callers that combine
-the same rows many times prepare them once with ``_integer_rows`` and call
-its kernel ``_combination`` directly.
+through ``combine_rows``, one integer combination over a common
+denominator; membership in a row space given in reduced echelon form reads
+the pivot coordinates and checks them with one such combination
+(``reduced_projection``).
 
 Every linear combination of series (sums, products, matrix products,
 mat-vecs, minors, elimination updates) runs through one kernel:
@@ -57,11 +61,18 @@ the one series mat-vec) skip its zero entries.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
-from .errors import DomainError, PrecisionError, RankDeficiencyError
+from .errors import (
+    DomainError,
+    InternalCheckError,
+    IrrationalSpectrumError,
+    PrecisionError,
+    RankDeficiencyError,
+)
 
 DEFAULT_BUDGET = 16
 
@@ -173,10 +184,15 @@ class Polynomial:
 
 def is_squarefree(p: Polynomial) -> bool:
     """True iff gcd(p, p') is constant.  Rejects the zero polynomial."""
+    return squarefree_part(p).degree == p.degree
+
+
+def squarefree_part(p: Polynomial) -> Polynomial:
+    """The monic p / gcd(p, p') of a nonzero p."""
     if p.is_zero():
         raise DomainError("zero polynomial")
-    ints = _integer_row(p.coeffs)[1]
-    return len(integer_squarefree_part(ints)) == len(ints)
+    q = integer_squarefree_part(_integer_row(p.coeffs)[1])
+    return Polynomial(q) if q[-1] == 1 else Polynomial(q) * Fraction(1, q[-1])
 
 
 def integer_squarefree_part(p) -> tuple[int, ...]:
@@ -232,18 +248,6 @@ def _polynomial_product(a, b) -> list:
     return out
 
 
-def integer_polynomial_columns(p, rows) -> list[list[int]]:
-    """The columns of p(M), by Horner, for an integer polynomial p and the
-    square integer matrix M given as ``rows``."""
-    sparse = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
-    cols = [[0] * len(rows) for _ in rows]
-    for c in reversed(p):
-        cols = [_sparse_apply(sparse, col) for col in cols]
-        for i, col in enumerate(cols):
-            col[i] += c
-    return cols
-
-
 def integer_roots(p: Polynomial, bound=None) -> dict[Fraction, int]:
     """All rational roots of p, with multiplicities, found by exact scan.
 
@@ -293,41 +297,71 @@ def _divisors(n):
 
 
 class RationalMatrix:
-    """Immutable rectangular matrix over Q.
+    """Immutable rectangular matrix over Q, stored as integer rows over one
+    denominator.
 
-    The public constructor coerces every entry with ``Fraction`` and rejects
-    ragged rows.  ``_trusted`` builds from a tuple of tuples of ``Fraction``
-    as given; the module's own operations return through it.
+    ``den`` is the least common denominator of the entries and ``ints`` the
+    integer matrix den·m as a tuple of int tuples.  The pair is canonical
+    (den > 0 and gcd(den, *ints) == 1), so equality and hashing compare
+    integers.  ``entries``, the tuple of ``Fraction`` rows, is built on its
+    first read and kept.  The public constructor coerces every entry with
+    ``Fraction`` and rejects ragged rows; ``from_integers`` takes a
+    denominator and integer rows and brings them to the canonical pair.
     """
 
-    __slots__ = ("entries", "rows", "cols")
+    __slots__ = ("den", "ints", "rows", "cols", "entries")
 
     def __init__(self, entries):
-        self.entries = tuple(tuple(Fraction(x) for x in row) for row in entries)
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        if any(len(row) != self.cols for row in self.entries):
+        rows = tuple(
+            tuple([x if type(x) is Fraction else Fraction(x) for x in row]) for row in entries
+        )
+        self.rows = len(rows)
+        self.cols = len(rows[0]) if rows else 0
+        if any(len(row) != self.cols for row in rows):
             raise DomainError("ragged matrix")
+        self.den = den = lcm(*[a.denominator for row in rows for a in row])
+        self.ints = tuple(
+            tuple([a.numerator * (den // a.denominator) for a in row]) for row in rows
+        )
+        self.entries = rows
 
     @classmethod
-    def _trusted(cls, entries, cols=0):
-        """Matrix over ``entries``, a tuple of equal-length tuples of Fraction;
-        ``cols`` is the width of a matrix with no rows."""
+    def from_integers(cls, den, rows, cols=0):
+        """The matrix ``rows`` / ``den`` for a nonzero integer ``den`` and
+        equal-length integer rows; ``cols`` is the width of a matrix with no
+        rows."""
+        if not den:
+            raise DomainError("zero denominator")
+        g = gcd(den, *itertools.chain.from_iterable(rows)) if den != 1 else 1
+        if den < 0:
+            g = -g
+        ints = tuple(map(tuple, rows)) if g == 1 else tuple(
+            tuple([a // g for a in row]) for row in rows
+        )
+        if ints:
+            cols = len(ints[0])
+            if any(len(row) != cols for row in ints):
+                raise DomainError("ragged matrix")
         m = object.__new__(cls)
-        m.entries = entries
-        m.rows = len(entries)
-        m.cols = len(entries[0]) if entries else cols
+        m.den, m.ints, m.rows, m.cols = den // g, ints, len(ints), cols
         return m
+
+    def __getattr__(self, name):
+        # ``entries`` is the only slot left unset, by ``from_integers``
+        if name != "entries":
+            raise AttributeError(name)
+        self.entries = tuple(_fractions(row, self.den) for row in self.ints)
+        return self.entries
 
     @staticmethod
     def identity(n):
-        return RationalMatrix._trusted(
-            tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
+        return RationalMatrix.from_integers(
+            1, [[int(i == j) for j in range(n)] for i in range(n)], n
         )
 
     @staticmethod
     def zero(r, c):
-        return RationalMatrix._trusted(((_ZERO,) * c,) * r, c)
+        return RationalMatrix.from_integers(1, ((0,) * c,) * r, c)
 
     def row(self, i):
         return self.entries[i]
@@ -336,19 +370,23 @@ class RationalMatrix:
         return tuple(row[j] for row in self.entries)
 
     def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
+        return (
+            isinstance(other, RationalMatrix)
+            and self.den == other.den
+            and self.ints == other.ints
+        )
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.den, self.ints))
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DomainError("shape mismatch")
-        return RationalMatrix._trusted(
-            tuple(
-                tuple([a + b for a, b in zip(ra, rb)])
-                for ra, rb in zip(self.entries, other.entries)
-            ),
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return RationalMatrix.from_integers(
+            den,
+            [[fa * a + fb * b for a, b in zip(ra, rb)] for ra, rb in zip(self.ints, other.ints)],
             self.cols,
         )
 
@@ -356,57 +394,61 @@ class RationalMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return RationalMatrix._trusted(
-            tuple(tuple([-a for a in row]) for row in self.entries), self.cols
+        return RationalMatrix.from_integers(
+            self.den, [[-a for a in row] for row in self.ints], self.cols
         )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RationalMatrix._trusted(
-                tuple(tuple([a * other for a in row]) for row in self.entries), self.cols
-            )
+            g = gcd(other.numerator, self.den)
+            num = other.numerator // g
+            rows = self.ints if num == 1 else [[num * a for a in row] for row in self.ints]
+            return RationalMatrix.from_integers(self.den // g * other.denominator, rows, self.cols)
         if self.cols != other.rows:
             raise DomainError("shape mismatch")
         # each output row accumulates, over the nonzeros a = self[i][k], the
         # nonzeros of row k of the right factor
-        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.ints]
         width = other.cols
         out = []
-        for row in self.entries:
-            acc = [_ZERO] * width
+        for row in self.ints:
+            acc = [0] * width
             for k, a in enumerate(row):
                 if a:
                     for j, b in sparse[k]:
                         acc[j] += a * b
-            out.append(tuple(acc))
-        return RationalMatrix._trusted(tuple(out), width)
+            out.append(acc)
+        return RationalMatrix.from_integers(self.den * other.den, out, width)
 
     __rmul__ = __mul__
 
     def transpose(self):
-        if not self.rows:
-            return RationalMatrix._trusted(((),) * self.cols)
-        return RationalMatrix._trusted(tuple(zip(*self.entries)), self.rows)
+        return RationalMatrix.from_integers(
+            self.den, list(zip(*self.ints)) if self.rows else ((),) * self.cols, self.rows
+        )
 
-    def trace(self):
-        return sum(self.entries[i][i] for i in range(min(self.rows, self.cols)))
+    def trace(self) -> Fraction:
+        return Fraction(sum(self.ints[i][i] for i in range(min(self.rows, self.cols))), self.den)
 
     def is_zero(self):
-        return not any(a for row in self.entries for a in row)
+        return not any(map(any, self.ints))
 
     def apply(self, vector):
-        """Matrix times coordinate vector (tuple of Fractions)."""
-        return tuple(_dot(row, vector) for row in self.entries)
+        """Matrix times coordinate vector (ints or Fractions), as Fractions."""
+        if len(vector) != self.cols:
+            raise DomainError("shape mismatch")
+        den, ints = _integer_row(vector)
+        live = [(j, v) for j, v in enumerate(ints) if v]
+        return _fractions([sum([row[j] * v for j, v in live]) for row in self.ints], den * self.den)
 
     def vec(self):
         return tuple(a for row in self.entries for a in row)
 
     def det(self) -> Fraction:
-        """Determinant by fraction-free (Bareiss) elimination over integer rows."""
+        """Determinant by fraction-free (Bareiss) elimination over the integer rows."""
         if self.rows != self.cols:
             raise DomainError("determinant of non-square matrix")
-        den, rows = integer_matrix(self)
-        return Fraction(integer_det(rows), den**self.rows)
+        return Fraction(_det(self.ints), self.den**self.rows)
 
     def __repr__(self):
         return f"RationalMatrix({[list(map(str, r)) for r in self.entries]})"
@@ -416,12 +458,16 @@ def shifted(m: RationalMatrix, lam) -> RationalMatrix:
     """m - lam·I, formed on the diagonal alone; m must be square."""
     if m.rows != m.cols:
         raise DomainError("shape mismatch")
-    return RationalMatrix._trusted(
-        tuple(row[:i] + (row[i] - lam,) + row[i + 1 :] for i, row in enumerate(m.entries))
-    )
+    lam = Fraction(lam)
+    den = lcm(m.den, lam.denominator)
+    scale, shift = den // m.den, lam.numerator * (den // lam.denominator)
+    rows = [[scale * a for a in row] for row in m.ints]
+    for i, row in enumerate(rows):
+        row[i] -= shift
+    return RationalMatrix.from_integers(den, rows, m.cols)
 
 
-def integer_det(rows) -> int:
+def _det(rows) -> int:
     """Determinant of the square integer matrix ``rows`` by fraction-free
     (Bareiss) elimination; ``rows`` is left as it is."""
     m = list(rows)
@@ -446,12 +492,14 @@ def integer_det(rows) -> int:
     return sign * prev
 
 
-def _dot(u, v):
-    acc = _ZERO
-    for a, b in zip(u, v):
-        if a:
-            acc += a * b
-    return acc
+def maximal_minors(matrix: RationalMatrix) -> dict[tuple[int, ...], int]:
+    """The r×r minors of the integer matrix den·matrix, r its number of
+    rows, keyed by their column indices in lexicographic order."""
+    rows = matrix.ints
+    return {
+        combo: _det([[row[j] for j in combo] for row in rows])
+        for combo in itertools.combinations(range(matrix.cols), matrix.rows)
+    }
 
 
 def _integer_row(row):
@@ -463,29 +511,6 @@ def _integer_row(row):
     return den, [a.numerator * (den // d) for a, d in zip(row, dens)]
 
 
-def _integer_rows(rows):
-    """Each row as (d, integer nonzeros (i, d·row_i)), d its least common
-    denominator."""
-    out = []
-    for row in rows:
-        d, ints = _integer_row(row)
-        out.append((d, tuple((i, e) for i, e in enumerate(ints) if e)))
-    return out
-
-
-def _combination(coeffs, rows, dim):
-    """sum c_r·row_r as dim Fractions over one common denominator, for rows
-    in the form of ``_integer_rows``."""
-    terms = [(c, d, row) for c, (d, row) in zip(coeffs, rows) if c]
-    den = lcm(*[c.denominator * d for c, d, _ in terms])
-    acc = [0] * dim
-    for c, d, row in terms:
-        f = c.numerator * (den // (c.denominator * d))
-        for i, e in row:
-            acc[i] += f * e
-    return _fractions(acc, den)
-
-
 def _fractions(ints, den):
     """The tuple of Fractions v / den for v in ints, zeros as Fraction(0)."""
     if den == 1:
@@ -495,19 +520,44 @@ def _fractions(ints, den):
 
 def combine_rows(coeffs, matrix: RationalMatrix) -> tuple[Fraction, ...]:
     """sum c_r·row_r over the rows of ``matrix``, as a tuple of Fractions;
-    ``coeffs`` are ints or Fractions, and only the rows with a nonzero
-    coefficient are read."""
-    live = [(c, row) for c, row in zip(coeffs, matrix.entries) if c]
-    return _combination(
-        [c for c, _ in live], _integer_rows([row for _, row in live]), matrix.cols
-    )
+    ``coeffs`` are ints or Fractions, one per row, and only the rows with a
+    nonzero coefficient are read."""
+    if len(coeffs) != matrix.rows:
+        raise DomainError("shape mismatch")
+    den, ints = _integer_row(coeffs)
+    acc = [0] * matrix.cols
+    for c, row in zip(ints, matrix.ints):
+        if c:
+            acc = [a + c * e for a, e in zip(acc, row)]
+    return _fractions(acc, den * matrix.den)
+
+
+def reduced_projection(basis: RationalMatrix, vector):
+    """(the entries of ``vector`` at the pivot columns of ``basis``, vector
+    less the combination of the basis rows they weight), for ``basis`` in
+    reduced echelon form with no zero row.  The remainder is zero exactly
+    when ``vector`` lies in the row space, and the entries are then its
+    coordinates over the rows."""
+    if len(vector) != basis.cols:
+        raise DomainError("shape mismatch")
+    den, ints = _integer_row(vector)
+    rest = [basis.den * v for v in ints]
+    pivots = []
+    for row in basis.ints:
+        # the pivot is the first entry equal to den: all before it are zero
+        c = row.index(basis.den)
+        pivots.append(c)
+        f = ints[c]
+        if f:
+            rest = [a - f * e for a, e in zip(rest, row)]
+    return tuple(Fraction(vector[c]) for c in pivots), _fractions(rest, den * basis.den)
 
 
 def _reduced_rows(rows, cols):
-    """Gauss-Jordan elimination over primitive integer rows.
+    """Gauss-Jordan elimination over integer rows.
 
-    ``rows`` is a list of integer rows of length ``cols``; it is left as it
-    is.  Returns the nonzero rows of the reduced echelon form, each still an
+    ``rows`` is a sequence of integer rows of length ``cols``; it is left
+    as it is.  Returns the nonzero rows of the reduced echelon form, each still an
     integer multiple of its normalized form, and the pivot columns.  Every
     row stays a nonzero multiple of the corresponding row of the rational
     elimination, so pivots are found in the same places.
@@ -538,65 +588,55 @@ def _reduced_rows(rows, cols):
     return m[:r], pivots
 
 
-def _scaled_rows(matrix: RationalMatrix):
-    """Each row of ``matrix`` times its least common denominator."""
-    return [_integer_row(row)[1] for row in matrix.entries]
-
-
-def _normalized(rows, pivots):
-    """The rows of ``_reduced_rows`` over their pivot entries, as Fractions."""
-    return tuple(
-        tuple([Fraction(a, row[c]) if a else _ZERO for a in row])
-        for row, c in zip(rows, pivots)
-    )
+def _echelon(rows, pivots, cols, zero_rows=0) -> RationalMatrix:
+    """The rows of ``_reduced_rows`` over their pivot entries, followed by
+    ``zero_rows`` zero rows."""
+    den = lcm(*[row[c] for row, c in zip(rows, pivots)])
+    out = [[a * (den // row[c]) for a in row] for row, c in zip(rows, pivots)]
+    return RationalMatrix.from_integers(den, out + [[0] * cols] * zero_rows, cols)
 
 
 def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot column indices."""
-    ints, pivots = _reduced_rows(_scaled_rows(matrix), matrix.cols)
-    out = _normalized(ints, pivots) + ((_ZERO,) * matrix.cols,) * (matrix.rows - len(pivots))
-    return RationalMatrix._trusted(out, matrix.cols), tuple(pivots)
+    rows, pivots = _reduced_rows(matrix.ints, matrix.cols)
+    return _echelon(rows, pivots, matrix.cols, matrix.rows - len(pivots)), tuple(pivots)
 
 
 def row_space(matrix: RationalMatrix) -> RationalMatrix:
     """Canonical basis (RREF, zero rows dropped) of the row space.  The
     reduced echelon form of a row space is unique, so a matrix already in
     that form with no zero row is returned as it is."""
-    if _is_reduced(matrix.entries):
+    if _is_reduced(matrix):
         return matrix
-    return integer_row_space(_scaled_rows(matrix), matrix.cols)
+    return _echelon(*_reduced_rows(matrix.ints, matrix.cols), matrix.cols)
 
 
-def _is_reduced(entries) -> bool:
-    """True when ``entries`` are in reduced echelon form with no zero row."""
-    last = -1
-    for row in entries:
+def _is_reduced(matrix: RationalMatrix) -> bool:
+    """True when ``matrix`` is in reduced echelon form with no zero row."""
+    ints, last = matrix.ints, -1
+    for row in ints:
         c = next((j for j, a in enumerate(row) if a), None)
-        if c is None or c <= last or row[c] != 1 or sum(1 for o in entries if o[c]) != 1:
+        if c is None or c <= last or row[c] != matrix.den or sum(1 for o in ints if o[c]) != 1:
             return False
         last = c
     return True
 
 
-def integer_row_space(rows, cols) -> RationalMatrix:
-    """``row_space`` of the integer rows ``rows`` of length ``cols``: one
-    elimination on the integers and one Fraction per nonzero entry."""
-    ints, pivots = _reduced_rows(rows, cols)
-    return RationalMatrix._trusted(_normalized(ints, pivots), cols)
-
-
 def rank(matrix: RationalMatrix) -> int:
-    return len(_reduced_rows(_scaled_rows(matrix), matrix.cols)[1])
+    return len(_reduced_rows(matrix.ints, matrix.cols)[1])
 
 
-def integer_kernel(rows, cols) -> list[list[int]]:
-    """A kernel basis of the integer matrix ``rows`` with ``cols`` columns:
-    per free column f of its reduced echelon form, the canonical kernel
-    vector (1 at f, 0 at the other free columns) times the lcm of the pivot
-    entries it divides by, so that every entry is an integer."""
-    red, pivots = _reduced_rows(rows, cols)
+def nullspace(matrix: RationalMatrix) -> RationalMatrix:
+    """Rows form the canonical kernel basis of matrix · x = 0.
+
+    Per free column f of the reduced echelon form, the kernel vector with 1
+    at f and 0 at the other free columns is taken times the lcm of the pivot
+    entries it divides by, so that every entry is an integer; one more
+    elimination brings these vectors to the canonical basis."""
+    cols = matrix.cols
+    red, pivots = _reduced_rows(matrix.ints, cols)
     taken = set(pivots)
-    out = []
+    kernel = []
     for f in range(cols):
         if f in taken:
             continue
@@ -606,26 +646,24 @@ def integer_kernel(rows, cols) -> list[list[int]]:
         v[f] = scale
         for p, lead, a in terms:
             v[p] = -a * (scale // lead)
-        out.append(v)
-    return out
-
-
-def nullspace(matrix: RationalMatrix) -> RationalMatrix:
-    """Rows form the canonical kernel basis of matrix · x = 0."""
-    return integer_row_space(integer_kernel(_scaled_rows(matrix), matrix.cols), matrix.cols)
+        kernel.append(v)
+    return _echelon(*_reduced_rows(kernel, cols), cols)
 
 
 def solve(matrix: RationalMatrix, rhs) -> tuple[Fraction, ...] | None:
     """One solution of matrix · x = rhs, or None."""
-    aug = RationalMatrix._trusted(
-        tuple(row + (Fraction(b),) for row, b in zip(matrix.entries, rhs))
-    )
-    red, pivots = rref(aug)
+    if len(rhs) != matrix.rows:
+        raise DomainError("shape mismatch")
+    rden, rints = _integer_row(rhs)
+    den = lcm(matrix.den, rden)
+    fm, fr = den // matrix.den, den // rden
+    aug = [[fm * a for a in row] + [fr * b] for row, b in zip(matrix.ints, rints)]
+    red, pivots = _reduced_rows(aug, matrix.cols + 1)
     if matrix.cols in pivots:
         return None
     x = [_ZERO] * matrix.cols
-    for r, p in enumerate(pivots):
-        x[p] = red.entries[r][matrix.cols]
+    for row, p in zip(red, pivots):
+        x[p] = Fraction(row[-1], row[p])
     return tuple(x)
 
 
@@ -634,17 +672,13 @@ class LinearSolver:
 
     def __init__(self, matrix: RationalMatrix):
         self.matrix = matrix
-        n = matrix.rows
-        aug = RationalMatrix._trusted(
-            tuple(
-                row + tuple(_ONE if i == j else _ZERO for j in range(n))
-                for i, row in enumerate(matrix.entries)
-            )
-        )
-        red, pivots = rref(aug)
-        self.reduced = RationalMatrix._trusted(tuple(row[: matrix.cols] for row in red.entries))
-        self.transform = RationalMatrix._trusted(tuple(row[matrix.cols :] for row in red.entries))
-        self.pivots = [p for p in pivots if p < matrix.cols]
+        n, cols, den = matrix.rows, matrix.cols, matrix.den
+        # [A | I], over the denominator of A
+        aug = [row + (0,) * i + (den,) + (0,) * (n - i - 1) for i, row in enumerate(matrix.ints)]
+        red, pivots = rref(RationalMatrix.from_integers(den, aug, cols + n))
+        self.reduced = RationalMatrix.from_integers(red.den, [row[:cols] for row in red.ints], cols)
+        self.transform = RationalMatrix.from_integers(red.den, [row[cols:] for row in red.ints], n)
+        self.pivots = [p for p in pivots if p < cols]
         self.rank = len(self.pivots)
 
     def inverse(self) -> RationalMatrix:
@@ -670,67 +704,57 @@ class LinearSolver:
         return tuple(x)
 
 
-def in_row_space(matrix: RationalMatrix, vector) -> bool:
-    return coordinates_in_row_space(matrix, vector) is not None
-
-
 def coordinates_in_row_space(matrix, vector):
     """Coefficients expressing vector over the rows of matrix, or None."""
     if matrix.rows == 0:
+        if len(vector) != matrix.cols:
+            raise DomainError("shape mismatch")
         return None if any(vector) else ()  # the row space is {0}
     return solve(matrix.transpose(), vector)
+
+
+def _stacked(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """The rows of a followed by the rows of b."""
+    if a.cols != b.cols:
+        raise DomainError("ragged matrix")
+    den = lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    return RationalMatrix.from_integers(
+        den, [[fa * x for x in row] for row in a.ints] + [[fb * x for x in row] for row in b.ints], a.cols
+    )
 
 
 def intersect_row_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """Canonical basis of (row space of a) ∩ (row space of b)."""
     if a.rows == 0 or b.rows == 0:
         return RationalMatrix.zero(0, a.cols)
-    if a.cols != b.cols:
-        raise DomainError("ragged matrix")
-    stacked = RationalMatrix._trusted(a.entries + b.entries).transpose()
     # kernel vectors (x, y) with x·a + y·b = 0  =>  x·a = -y·b lies in both
-    ker = nullspace(stacked)
-    vecs = [combine_rows(krow[: a.rows], a) for krow in ker.entries]
-    if not vecs:
+    ker = nullspace(_stacked(a, b).transpose())
+    if not ker.rows:
         return RationalMatrix.zero(0, a.cols)
-    return row_space(RationalMatrix._trusted(tuple(vecs)))
+    left = RationalMatrix.from_integers(ker.den, [row[: a.rows] for row in ker.ints], a.rows)
+    return row_space(left * a)
 
 
 def sum_row_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    return row_space(RationalMatrix(list(a.entries) + list(b.entries)))
+    return row_space(_stacked(a, b))
 
 
 def min_poly(m: RationalMatrix) -> Polynomial:
-    """Monic annihilating polynomial of least degree: with D the least
-    common denominator of m and P the minimal polynomial of the integer
-    matrix D·m, the coefficient of x^k is P_k / D^(deg P - k)."""
+    """Monic annihilating polynomial of least degree: with D = m.den and P
+    the minimal polynomial of the integer matrix D·m, the coefficient of x^k
+    is P_k / D^(deg P - k).
+
+    P is the lcm of the minimal polynomials of the unit vectors, built one
+    vector at a time: with p the lcm so far, lcm(p, μ_e) = p · μ_w for
+    w = p(D·m)·e, so only the part of e that p leaves alive costs a Krylov
+    sequence.  Each μ_w is a monic divisor of the characteristic polynomial,
+    hence integer by Gauss's lemma.
+    """
     if m.rows != m.cols:
         raise DomainError("minimal polynomial needs a square matrix")
-    den, rows = integer_matrix(m)
-    p = integer_min_poly(rows)
-    deg = len(p) - 1
-    return Polynomial([Fraction(c, den ** (deg - k)) for k, c in enumerate(p)])
-
-
-def integer_matrix(m: RationalMatrix) -> tuple[int, list[list[int]]]:
-    """(D, rows): D the least common denominator of the entries of m and
-    rows the integer matrix D·m."""
-    den = lcm(*[a.denominator for row in m.entries for a in row])
-    return den, [[a.numerator * (den // a.denominator) for a in row] for row in m.entries]
-
-
-def integer_min_poly(rows) -> tuple[int, ...]:
-    """Minimal polynomial of the square integer matrix ``rows``, monic with
-    integer coefficients, lowest degree first.
-
-    The lcm of the minimal polynomials of the unit vectors, built one vector
-    at a time: with p the lcm so far, lcm(p, μ_e) = p · μ_w for w = p(M)·e,
-    so only the part of e that p leaves alive costs a Krylov sequence.  Each
-    μ_w is a monic divisor of the characteristic polynomial, hence integer
-    by Gauss's lemma.
-    """
-    n = len(rows)
-    sparse = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+    n = m.rows
+    sparse = [[(j, a) for j, a in enumerate(row) if a] for row in m.ints]
     p = [1]
     for i in range(n):
         w = [0] * n
@@ -740,7 +764,10 @@ def integer_min_poly(rows) -> tuple[int, ...]:
             w[i] += c
         if any(w):
             p = _polynomial_product(p, _vector_min_poly(sparse, w))
-    return tuple(p)
+    if m.den == 1:
+        return Polynomial(p)
+    deg = len(p) - 1
+    return Polynomial([Fraction(c, m.den ** (deg - k)) for k, c in enumerate(p)])
 
 
 def _sparse_apply(sparse, v):
@@ -772,6 +799,58 @@ def _vector_min_poly(sparse, w) -> list[int]:
         reduced.append((pivot, [a // g for a in row], [a // g for a in comb]))
         v = _sparse_apply(sparse, v)
     raise RankDeficiencyError("no dependence found; impossible for square matrix")
+
+
+def _polynomial_columns(p, rows) -> list[list[int]]:
+    """The columns of p(M), by Horner, for an integer polynomial p and the
+    square integer matrix M given as ``rows``."""
+    sparse = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+    cols = [[0] * len(rows) for _ in rows]
+    for c in reversed(p):
+        cols = [_sparse_apply(sparse, col) for col in cols]
+        for i, col in enumerate(cols):
+            col[i] += c
+    return cols
+
+
+def matrix_polynomial(p: Polynomial, m: RationalMatrix) -> RationalMatrix:
+    """p(m) for a square m, by integer Horner on M = D·m (D = m.den):
+    p(m) = Σ c_k·D^(deg-k)·M^k / D^deg."""
+    if m.rows != m.cols:
+        raise DomainError("shape mismatch")
+    deg = max(p.degree, 0)
+    den, ints = _integer_row([c * m.den ** (deg - k) for k, c in enumerate(p.coeffs)])
+    cols = _polynomial_columns(ints, m.ints)
+    return RationalMatrix.from_integers(den * m.den**deg, list(zip(*cols)), m.cols)
+
+
+def rational_eigenvalues(m: RationalMatrix) -> dict[Fraction, int]:
+    """Eigenvalues with algebraic multiplicities; all must be rational.
+
+    The minimal polynomial of the integer matrix M = D·m (D = m.den) is
+    monic integer, so its rational roots are integers within the Gershgorin
+    radius of M and the scan is exact; an eigenvalue λ of M is λ/D of m.
+    Raises IrrationalSpectrumError when a nonlinear factor survives.
+    """
+    scaled = m * m.den
+    p = min_poly(scaled)
+    rows = scaled.ints
+    gersh = max((sum(map(abs, row)) for row in rows), default=0)
+    roots = integer_roots(p, bound=gersh + 1)
+    if sum(roots.values()) < p.degree:
+        raise IrrationalSpectrumError(
+            "matrix has a minimal-polynomial factor with no rational root"
+        )
+    out = {}
+    for lam, mult in roots.items():
+        # (x - lam)^mult, whose kernel on M is the generalized eigenspace;
+        # its transpose has a kernel of the same dimension
+        power = [comb(mult, k) * int(-lam) ** (mult - k) for k in range(mult + 1)]
+        cols = _polynomial_columns(power, rows)
+        out[lam / m.den] = len(rows) - len(_reduced_rows(cols, len(rows))[1])
+    if sum(out.values()) != len(rows):
+        raise InternalCheckError("eigenvalue multiplicities do not sum to the dimension")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1039,15 +1118,16 @@ class SeriesMatrix:
         ))
 
     def mul_rational(self, m: RationalMatrix) -> "SeriesMatrix":
-        """self · m for a rational m; zero entries of m are skipped."""
+        """self · m for a rational m, over its integer rows; zero entries of m
+        are skipped."""
         if self.cols != m.rows:
             raise DomainError("shape mismatch")
-        cols = [[(k, c) for k, c in enumerate(col) if c] for col in zip(*m.entries)]
+        cols = [[(k, c) for k, c in enumerate(col) if c] for col in zip(*m.ints)]
         used = {k for col in cols for k, _ in col}
         rows = [[_prepared(e) if k in used else None for k, e in enumerate(row)]
                 for row in self.entries]
         return SeriesMatrix._trusted(tuple(
-            tuple([_sum_of_scaled([(row[k], c) for k, c in col]) for col in cols])
+            tuple([_sum_of_scaled([(row[k], c) for k, c in col], m.den) for col in cols])
             for row in rows
         ))
 
@@ -1188,11 +1268,12 @@ def _sum_of_products(pairs) -> LaurentSeries:
     return _integer_sum(live, prec)
 
 
-def _sum_of_scaled(terms) -> LaurentSeries:
-    """Σ s·c over terms (prepared series s, rational c), on one denominator.
+def _sum_of_scaled(terms, den=1) -> LaurentSeries:
+    """Σ s·c / den over terms (prepared series s, rational c), on one
+    denominator.
 
-    Equal in val, coeffs and prec to folding ``acc = acc + s * c`` from
-    ``LaurentSeries.zero()``: s·c keeps the precision of s, so every term
+    Equal in val, coeffs and prec to folding ``acc = acc + s * (c / den)``
+    from ``LaurentSeries.zero()``: s·c keeps the precision of s, so every term
     counts toward it, c == 0 and zero s included.
     """
     prec = None
@@ -1201,7 +1282,7 @@ def _sum_of_scaled(terms) -> LaurentSeries:
         if s.prec is not None and (prec is None or s.prec < prec):
             prec = s.prec
         if xs and c:
-            live.append((s.val, d * c.denominator, xs, (c.numerator,)))
+            live.append((s.val, d * c.denominator * den, xs, (c.numerator,)))
     return _integer_sum(live, prec)
 
 

@@ -13,32 +13,23 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import lcm
 
-from .errors import (
-    DomainError,
-    InternalCheckError,
-    IrrationalSpectrumError,
-)
+from .errors import DomainError, InternalCheckError
 from .exact import (
     LinearSolver,
     Polynomial,
     RationalMatrix,
-    _combination,
-    _fractions,
-    _integer_row,
-    _integer_rows,
-    integer_kernel,
-    integer_matrix,
-    integer_min_poly,
-    integer_polynomial_columns,
-    integer_roots,
-    integer_row_space,
-    integer_squarefree_part,
+    is_squarefree,
     intersect_row_spaces,
+    matrix_polynomial,
+    min_poly,
+    nullspace,
     rank,
+    rational_eigenvalues,
+    reduced_projection,
     row_space,
-    rref,
+    squarefree_part,
     sum_row_spaces,
 )
 
@@ -53,16 +44,16 @@ class LieAlgebra:
     [e_i, e_j] = sum c * e_k.  ``realization`` is an optional list of matrices
     (one per basis vector) with commutators matching the table.
 
-    Brackets and realizations run over integers: at construction the table
-    is copied once as integer rows of both orders, (i, j) -> ((k, L·c), ...)
-    and (j, i) -> the negated entries, with L the least common denominator
-    of all structure constants; the first ``realize`` copies each
-    realization matrix as its integer nonzeros over one common denominator.  An argument is scaled once to
-    (den, integer nonzeros), the products accumulate as integers, and each
-    nonzero output coordinate is one ``Fraction`` over the product of the
-    denominators.  ``SymmetricPair.from_p_coords`` and ``centralizer_in``
-    combine integer rows (of p, of the subspace) the same way.  Results are
-    tuples of ``Fraction`` as before.
+    Brackets, ``ad`` and ``realize`` run over integers: at construction the
+    table is copied once as integer rows of both orders,
+    (i, j) -> ((k, L·c), ...) and (j, i) -> the negated entries, with L the
+    least common denominator of all structure constants; ``realize``
+    combines the integer rows of the flattened realization matrices.  An
+    argument is scaled once to (den, integer nonzeros), the products
+    accumulate as integers, and each nonzero output coordinate is one
+    ``Fraction`` over the product of the denominators; matrices come back
+    in their integer form.  The Killing form is one integer bilinear form
+    over the integer Gram matrix.
     """
 
     def __init__(self, labels, table, realization=None, cartan_indices=None, check=True):
@@ -73,9 +64,9 @@ class LieAlgebra:
         self.cartan_indices = tuple(cartan_indices) if cartan_indices is not None else None
         self._ad_cache: dict[int, RationalMatrix] = {}
         self._killing = None
+        self._flat = None  # the realization matrices flattened into rows
         self._realization_solver = None
         self._int_den, self._int_rows = _integer_table(self.dim, self.table)
-        self._int_realization = None  # built by the first realize
         if check:
             self._check_antisymmetry()
             self._check_jacobi()
@@ -105,28 +96,14 @@ class LieAlgebra:
     def _check_realization(self):
         if len(self.realization) != self.dim:
             raise DomainError("realization size mismatch")
-        flat = RationalMatrix([list(m.vec()) for m in self.realization])
-        if len(rref(flat)[1]) < self.dim:
+        if rank(self._flat_realization()) < self.dim:
             raise DomainError("realization is not faithful")
-        # each matrix as its nonzeros (a, b, v)
-        nonzeros = [
-            [(a, b, v) for a, row in enumerate(m.entries) for b, v in enumerate(row) if v]
-            for m in self.realization
-        ]
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 mi, mj = self.realization[i], self.realization[j]
-                # m_i m_j - m_j m_i - sum_k c_ij^k m_k in one buffer, subtracting
-                # over the nonzeros of m_j m_i and of each m_k
-                comm = [list(row) for row in (mi * mj).entries]
-                for a, row in enumerate((mj * mi).entries):
-                    for b, v in enumerate(row):
-                        if v:
-                            comm[a][b] -= v
-                for k, c in self.table.get((i, j), {}).items():
-                    for a, b, v in nonzeros[k]:
-                        comm[a][b] -= c * v
-                if any(any(row) for row in comm):
+                terms = self.table.get((i, j), {})
+                image = Element._trusted(self, tuple(terms.get(k, _ZERO) for k in range(self.dim)))
+                if mi * mj - mj * mi != self.realize(image):
                     raise InternalCheckError(
                         f"realization commutator mismatch on basis pair ({i}, {j})"
                     )
@@ -158,7 +135,9 @@ class LieAlgebra:
         if x.parent is not self or y.parent is not self:
             raise DomainError("bracket of elements with different parents")
         (dx, xs), (dy, ys) = _scaled_nonzeros(x.coords), _scaled_nonzeros(y.coords)
-        return Element._trusted(self, _fractions(self._integer_bracket(xs, ys), dx * dy * self._int_den))
+        return Element._trusted(
+            self, _coordinates(self._integer_bracket(xs, ys), dx * dy * self._int_den)
+        )
 
     def _integer_bracket(self, xs, ys) -> list[int]:
         """L·[x, y] as integers, for x and y given as their integer nonzeros
@@ -177,11 +156,9 @@ class LieAlgebra:
 
     def ad(self, x: "Element") -> RationalMatrix:
         """Matrix of ad(x) on the algebra's own basis (columns = images)."""
-        cols = []
-        for j in range(self.dim):
-            img = self.bracket(x, self.basis_element(j))
-            cols.append(img.coords)
-        return RationalMatrix._trusted(tuple(zip(*cols)))
+        dx, xs = _scaled_nonzeros(x.coords)
+        cols = [self._integer_bracket(xs, ((j, 1),)) for j in range(self.dim)]
+        return RationalMatrix.from_integers(dx * self._int_den, list(zip(*cols)), self.dim)
 
     def ad_basis(self, i) -> RationalMatrix:
         if i not in self._ad_cache:
@@ -189,69 +166,68 @@ class LieAlgebra:
         return self._ad_cache[i]
 
     def killing_matrix(self) -> RationalMatrix:
-        """Gram matrix of the Killing form on the basis, from the ad action."""
+        """Gram matrix of the Killing form on the basis, from the integer
+        rows of the ad matrices: trace(ad e_i · ad e_j) over D², with D the
+        common denominator of the ad matrices."""
         if self._killing is None:
-            ads = [self.ad_basis(i).entries for i in range(self.dim)]
-            n = self.dim
-            rows = []
-            for i in range(n):
-                # trace(ad e_i · ad e_j) over the nonzeros of ad e_i
-                nz = [(a, b, v) for a, row in enumerate(ads[i]) for b, v in enumerate(row) if v]
-                row = []
-                for j in range(n):
-                    aj = ads[j]
-                    acc = _ZERO
-                    for a, b, v in nz:
-                        w = aj[b][a]
-                        if w:
-                            acc += v * w
-                    row.append(acc)
-                rows.append(row)
-            self._killing = RationalMatrix(rows)
+            ads = [self.ad_basis(i) for i in range(self.dim)]
+            den = lcm(*[m.den for m in ads])
+            mats = [[[a * (den // m.den) for a in row] for row in m.ints] for m in ads]
+            gram = []
+            for mi in mats:
+                # over the nonzeros of ad e_i
+                nz = [(a, b, v) for a, row in enumerate(mi) for b, v in enumerate(row) if v]
+                gram.append([sum([v * mj[b][a] for a, b, v in nz]) for mj in mats])
+            self._killing = RationalMatrix.from_integers(den * den, gram, self.dim)
         return self._killing
 
     def killing(self, x: "Element", y: "Element") -> Fraction:
+        """x·K·y over the integer Gram matrix K, one Fraction at the end."""
         if x.parent is not self or y.parent is not self:
             raise DomainError("Killing form of elements with different parents")
-        km = self.killing_matrix().entries
-        ys = [(j, yj) for j, yj in enumerate(y.coords) if yj]
-        acc = _ZERO
-        for i, xi in enumerate(x.coords):
-            if xi:
-                row = km[i]
-                for j, yj in ys:
-                    k = row[j]
-                    if k:
-                        acc += xi * k * yj
-        return acc
+        km = self.killing_matrix()
+        (dx, xs), (dy, ys) = _scaled_nonzeros(x.coords), _scaled_nonzeros(y.coords)
+        rows = km.ints
+        acc = 0
+        for i, a in xs:
+            row = rows[i]
+            acc += a * sum([row[j] * b for j, b in ys])
+        return Fraction(acc, dx * dy * km.den)
 
     # -- realization helpers
 
-    def realize(self, x: "Element") -> RationalMatrix:
-        den, rows = self.integer_realization(x)
-        return RationalMatrix._trusted(tuple(_fractions(row, den) for row in rows))
+    def _flat_realization(self) -> RationalMatrix:
+        """Row i is the realization matrix of e_i, flattened."""
+        if self._flat is None:
+            mats = self.realization
+            den = lcm(*[m.den for m in mats])
+            self._flat = RationalMatrix.from_integers(
+                den, [[a * (den // m.den) for row in m.ints for a in row] for m in mats]
+            )
+        return self._flat
 
-    def integer_realization(self, x: "Element") -> tuple[int, list[list[int]]]:
-        """(den, rows): the realization of x is the integer matrix ``rows``
-        over ``den``."""
+    def realize(self, x: "Element") -> RationalMatrix:
+        """The realization of x: the integer combination of the flattened
+        realization matrices at the integer nonzeros of x."""
         if self.realization is None:
             raise DomainError("algebra has no matrix realization")
         size = self.realization[0].rows
-        if self._int_realization is None:
-            self._int_realization = _integer_matrices(self.realization)
-        rden, mats = self._int_realization
+        flat = self._flat_realization()
         dx, xs = _scaled_nonzeros(x.coords)
+        positions = range(size * size)
         acc = [0] * (size * size)
         for i, a in xs:
-            for pos, e in mats[i]:
-                acc[pos] += a * e
-        return dx * rden, [acc[r:r + size] for r in range(0, size * size, size)]
+            row = flat.ints[i]
+            for pos in itertools.compress(positions, row):  # its nonzeros
+                acc[pos] += a * row[pos]
+        return RationalMatrix.from_integers(
+            dx * flat.den, [acc[r:r + size] for r in range(0, size * size, size)], size
+        )
 
     def from_realization(self, mat: RationalMatrix) -> "Element":
         """Element whose realization is mat; error when mat is outside."""
         if self._realization_solver is None:
-            flat = RationalMatrix([list(m.vec()) for m in self.realization])
-            self._realization_solver = LinearSolver(flat.transpose())
+            self._realization_solver = LinearSolver(self._flat_realization().transpose())
         coords = self._realization_solver.solve(mat.vec())
         if coords is None:
             raise InternalCheckError("matrix does not lie in the realized algebra")
@@ -285,17 +261,6 @@ def _integer_table(dim, table):
     return den, rows
 
 
-def _integer_matrices(mats):
-    """(L, per matrix its nonzeros (flat position, L·e)), L the least common
-    denominator of all entries."""
-    nonzeros = [
-        [(a * m.cols + b, e) for a, row in enumerate(m.entries) for b, e in enumerate(row) if e]
-        for m in mats
-    ]
-    den = lcm(*(e.denominator for nz in nonzeros for _, e in nz))
-    return den, [tuple((pos, e.numerator * (den // e.denominator)) for pos, e in nz) for nz in nonzeros]
-
-
 def _scaled_nonzeros(coords):
     """(d, [(i, d·c_i) for every nonzero c_i]), d the least common
     denominator of the nonzero coordinates."""
@@ -304,6 +269,11 @@ def _scaled_nonzeros(coords):
     if den == 1:
         return 1, [(i, c.numerator) for i, c in nz]
     return den, [(i, c.numerator * (den // c.denominator)) for i, c in nz]
+
+
+def _coordinates(ints, den) -> tuple:
+    """The tuple of Fractions v / den for v in ints, zeros as Fraction(0)."""
+    return tuple([Fraction(v, den) if v else _ZERO for v in ints])
 
 
 class Element:
@@ -373,13 +343,12 @@ class Element:
 class Subspace:
     """Subspace of a Lie algebra in canonical reduced row echelon form."""
 
-    __slots__ = ("parent", "basis", "_echelon")
+    __slots__ = ("parent", "basis")
 
     def __init__(self, parent: LieAlgebra, basis: RationalMatrix):
         canon = row_space(basis) if basis.rows else basis
         self.parent = parent
         self.basis = canon
-        self._echelon = None  # (pivot columns, integer rows), on first use
 
     @property
     def dim(self):
@@ -394,32 +363,15 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis.entries)
 
-    def _integer_echelon(self):
-        """(pivot columns, the basis rows as ``_integer_rows``), built once."""
-        if self._echelon is None:
-            pivots = [next(j for j, c in enumerate(row) if c) for row in self.basis.entries]
-            self._echelon = pivots, _integer_rows(self.basis.entries)
-        return self._echelon
-
-    def _projection(self, coords):
-        """The entries of ``coords`` at the pivot columns and the combination
-        of the basis rows they give.  The basis is in reduced echelon form,
-        so the combination is ``coords`` itself exactly when it lies inside."""
-        pivots, rows = self._integer_echelon()
-        at = tuple(Fraction(coords[c]) for c in pivots)
-        return at, _combination(at, rows, self.basis.cols)
-
     def coordinates_of(self, x):
         """Coordinates of x over the basis rows, or None when x lies outside."""
-        coords = x.coords if isinstance(x, Element) else x
-        at, combo = self._projection(coords)
-        return at if combo == tuple(coords) else None
+        at, rest = reduced_projection(self.basis, x.coords if isinstance(x, Element) else x)
+        return None if any(rest) else at
 
     def residual(self, x):
         """x less the combination of the basis rows at its pivot entries:
         zero exactly when x lies inside."""
-        coords = x.coords if isinstance(x, Element) else x
-        return tuple(a - b for a, b in zip(coords, self._projection(coords)[1]))
+        return reduced_projection(self.basis, x.coords if isinstance(x, Element) else x)[1]
 
     def intersect(self, other: "Subspace") -> "Subspace":
         return Subspace(self.parent, intersect_row_spaces(self.basis, other.basis))
@@ -702,14 +654,12 @@ def build_g2() -> LieAlgebra:
 
 def _validate_g2(g):
     for c1, c2 in ((3, 2), (1, 2), (2, 7)):
-        h = g.element([c1, c2] + [0] * 12)
-        den, rows = integer_matrix(g.ad(h))
-        p = integer_min_poly(rows)
-        eig = integer_spectrum(den, rows, p)
+        ad = g.ad(g.element([c1, c2] + [0] * 12))
+        eig = rational_eigenvalues(ad)
         nonzero = {k: v for k, v in eig.items() if k != 0}
         if len(nonzero) == 12 and all(v == 1 for v in nonzero.values()) and eig.get(0) == 2:
-            if integer_squarefree_part(p) == p:
-                return  # 12 distinct root values, squarefree adjoint action
+            if nullspace(ad).rows == 2:
+                return  # 12 distinct root values, semisimple adjoint action
     raise InternalCheckError("root-space decomposition of the built algebra is wrong")
 
 
@@ -727,14 +677,14 @@ def build_product(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
     if g1.realization is not None and g2.realization is not None:
         s1 = g1.realization[0].rows
         s2 = g2.realization[0].rows
-        # the factors' rows are already tuples of Fraction: pad, don't coerce
-        pad1, pad2 = (_ZERO,) * s1, (_ZERO,) * s2
+        # the factors' integer rows, padded with zeros
+        pad1, pad2 = (0,) * s1, (0,) * s2
         blank = (pad1 + pad2,)
         realization = [
-            RationalMatrix._trusted(tuple(r + pad2 for r in m.entries) + blank * s2)
+            RationalMatrix.from_integers(m.den, tuple(r + pad2 for r in m.ints) + blank * s2)
             for m in g1.realization
         ] + [
-            RationalMatrix._trusted(blank * s1 + tuple(pad1 + r for r in m.entries))
+            RationalMatrix.from_integers(m.den, blank * s1 + tuple(pad1 + r for r in m.ints))
             for m in g2.realization
         ]
     cartan = None
@@ -751,21 +701,21 @@ def build_product(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
 def jordan_chevalley(x: Element) -> tuple[Element, Element]:
     """Split x = s + n with s semisimple, n nilpotent, [s, n] = 0.
 
-    On the integer matrix M = den·realize(x), with P its minimal polynomial
+    On the integer matrix M = D·realize(x), with P its minimal polynomial
     and q the squarefree part of P (both monic integer), x is semisimple
     when q = P.  Otherwise the Newton iteration y <- y - q(y) u(y), with
-    u q' = 1 mod q, runs in Q[x]/(P) from y = x to S, and s is S(M) / den,
-    evaluated by integer Horner.  No eigenvalues are extracted.
+    u q' = 1 mod q, runs in Q[x]/(P) from y = x to S, and s is S(M) / D.
+    No eigenvalues are extracted.
     """
     g = x.parent
     if g.realization is None:
         raise DomainError("Jordan-Chevalley split needs a matrix realization")
-    den, rows = g.integer_realization(x)
-    p = integer_min_poly(rows)
-    q = integer_squarefree_part(p)
+    real = g.realize(x)
+    m = real * real.den
+    p = min_poly(m)
+    q = squarefree_part(p)
     if q == p:  # q divides p, so q(M) = 0 exactly when q = p
         return x, g.zero()
-    p, q = Polynomial(p), Polynomial(q)
     u = _inverse_mod(q.derivative(), q)
     y = Polynomial([0, 1])
     for _ in range(len(bin(p.degree)) + 2):
@@ -775,11 +725,7 @@ def jordan_chevalley(x: Element) -> tuple[Element, Element]:
         y = (y - qy * _compose_mod(u, y, p)) % p
     else:
         raise InternalCheckError("Newton iteration for the semisimple part did not converge")
-    yden, ints = _integer_row(y.coeffs)
-    cols = integer_polynomial_columns(ints, rows)
-    s = g.from_realization(
-        RationalMatrix._trusted(tuple(_fractions(row, yden * den) for row in zip(*cols)))
-    )
+    s = g.from_realization(matrix_polynomial(y, m) * Fraction(1, real.den))
     return s, x - s
 
 
@@ -811,10 +757,10 @@ def classify_element(x: Element) -> str:
     g = x.parent
     if g.realization is None:
         raise DomainError("classification needs a matrix realization")
-    p = integer_min_poly(g.integer_realization(x)[1])
-    if not any(p[:-1]):
+    p = min_poly(g.realize(x))
+    if not any(p.coeffs[:-1]):
         return "nilpotent"
-    if integer_squarefree_part(p) == p:
+    if is_squarefree(p):
         return "semisimple"
     return "mixed"
 
@@ -826,18 +772,15 @@ def centralizer_in(x: Element, v: Subspace) -> Subspace:
         raise DomainError("element and subspace live in different algebras")
     if v.dim == 0:
         return v
-    # on the integer rows d_r·v_r of the basis, an integer kernel vector c of
-    # their brackets with x gives the element sum c_r·d_r·v_r of the kernel
+    # the kernel K of the brackets of x with the integer basis rows gives the
+    # centralizer as K·basis, which is in reduced echelon form as K and the
+    # basis are
     xs = _scaled_nonzeros(x.coords)[1]
-    basis = v._integer_echelon()[1]
-    images = [g._integer_bracket(xs, row) for _, row in basis]
-    ker = integer_kernel([col for col in zip(*images) if any(col)], v.dim)
-    combos = [[0] * g.dim for _ in ker]
-    for acc, c in zip(combos, ker):
-        for f, (_, row) in zip(c, basis):
-            for i, e in row:
-                acc[i] += f * e
-    return Subspace(g, integer_row_space(combos, g.dim))
+    images = [
+        g._integer_bracket(xs, [(i, e) for i, e in enumerate(row) if e]) for row in v.basis.ints
+    ]
+    ker = nullspace(RationalMatrix.from_integers(1, [col for col in zip(*images) if any(col)], v.dim))
+    return Subspace(g, ker * v.basis)
 
 
 def centralizer_of_subspace(w: Subspace, v: Subspace) -> Subspace:
@@ -854,41 +797,8 @@ def normalizer_dimension(sub: Subspace, elements) -> int:
     brackets with the basis of ``sub``."""
     g = sub.parent
     basis = sub.basis_elements()
-    rows = tuple(
-        tuple(itertools.chain.from_iterable(sub.residual(g.bracket(y, b)) for b in basis))
+    rows = [
+        list(itertools.chain.from_iterable(sub.residual(g.bracket(y, b)) for b in basis))
         for y in elements
-    )
-    return len(rows) - rank(RationalMatrix._trusted(rows, len(basis) * g.dim))
-
-
-def rational_eigenvalues(m: RationalMatrix) -> dict[Fraction, int]:
-    """Eigenvalues with algebraic multiplicities; all must be rational.
-
-    With D the common denominator of m, the minimal polynomial of the
-    integer matrix D·m is monic integer, so its rational roots are integers
-    within the Gershgorin radius; the scan is exact.  Raises
-    IrrationalSpectrumError when a nonlinear factor survives.
-    """
-    den, rows = integer_matrix(m)
-    return integer_spectrum(den, rows, integer_min_poly(rows))
-
-
-def integer_spectrum(den, rows, p) -> dict[Fraction, int]:
-    """``rational_eigenvalues`` of ``rows`` / ``den``, for a square integer
-    matrix ``rows`` with minimal polynomial p (``integer_min_poly``)."""
-    gersh = max((sum(abs(e) for e in row) for row in rows), default=0)
-    roots = integer_roots(Polynomial(p), bound=gersh + 1)
-    if sum(roots.values()) < len(p) - 1:
-        raise IrrationalSpectrumError(
-            "matrix has a minimal-polynomial factor with no rational root"
-        )
-    out = {}
-    for lam, mult in roots.items():
-        # (x - lam)^mult, whose kernel on D·m is the generalized eigenspace;
-        # its transpose has a kernel of the same dimension
-        power = [comb(mult, k) * int(-lam) ** (mult - k) for k in range(mult + 1)]
-        cols = integer_polynomial_columns(power, rows)
-        out[Fraction(lam, den)] = len(integer_kernel(cols, len(rows)))
-    if sum(out.values()) != len(rows):
-        raise InternalCheckError("eigenvalue multiplicities do not sum to the dimension")
-    return out
+    ]
+    return len(rows) - rank(RationalMatrix(rows))

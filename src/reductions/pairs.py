@@ -23,14 +23,10 @@ from .errors import (
 from .exact import (
     LinearSolver,
     RationalMatrix,
-    _combination,
-    _integer_rows,
     combine_rows,
-    integer_matrix,
-    integer_min_poly,
-    integer_squarefree_part,
     nullspace,
     rat,
+    rational_eigenvalues,
     shifted,
 )
 from .liealg import (
@@ -44,8 +40,6 @@ from .liealg import (
     centralizer_in,
     centralizer_of_subspace,
     classify_element,
-    integer_spectrum,
-    rational_eigenvalues,
 )
 
 _ZERO = Fraction(0)
@@ -60,14 +54,13 @@ class SymmetricPair:
         self.theta = theta
         self.name = name or "pair"
         self._roots = None
-        if (theta * theta).entries != RationalMatrix.identity(g.dim).entries:
+        if theta * theta != RationalMatrix.identity(g.dim):
             raise InternalCheckError("involution does not square to the identity")
         self._check_automorphism()
         self.k = Subspace(g, nullspace(shifted(theta, 1)))
         self.p = Subspace(g, nullspace(shifted(theta, -1)))
         if self.k.dim + self.p.dim != g.dim:
             raise InternalCheckError("eigenspaces of the involution do not fill the algebra")
-        self._p_rows = _integer_rows(self.p.basis.entries)  # for from_p_coords
         self.cartan = cartan
         self.rank = cartan.dim
         self._check_cartan()
@@ -112,7 +105,9 @@ class SymmetricPair:
         return coords
 
     def from_p_coords(self, coords) -> Element:
-        return Element._trusted(self.g, _combination(coords, self._p_rows, self.g.dim))
+        if len(coords) != self.p.dim:
+            raise DomainError(f"an element of p needs {self.p.dim} coordinates, not {len(coords)}")
+        return Element._trusted(self.g, combine_rows(coords, self.p.basis))
 
     def c_p(self, x: Element) -> Subspace:
         return centralizer_in(x, self.p)
@@ -276,11 +271,9 @@ def restricted_roots(pair: SymmetricPair) -> RestrictedRootData:
     for coeffs in _generic_coefficient_families(r):
         astar = Element._trusted(g, combine_rows(coeffs, pair.cartan.basis))
         ad = g.ad(astar)
-        den, rows = integer_matrix(ad)
-        p = integer_min_poly(rows)
-        if integer_squarefree_part(p) != p:
-            raise InternalCheckError("generic Cartan element acts non-semisimply")
-        eig = integer_spectrum(den, rows, p)
+        # a non-semisimple action shows in _weight_spaces as an eigenspace
+        # smaller than its multiplicity
+        eig = rational_eigenvalues(ad)
         try:
             return _weight_spaces(pair, a_els, coeffs, ad, eig)
         except _NotJointError as exc:

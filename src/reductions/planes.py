@@ -15,12 +15,11 @@ from fractions import Fraction
 from .errors import DomainError, InternalCheckError
 from .exact import (
     RationalMatrix,
-    _scaled_rows,
     combine_rows,
-    in_row_space,
-    integer_det,
+    maximal_minors,
     nullspace,
     rank,
+    reduced_projection,
     row_space,
 )
 from .liealg import Element, Subspace, jordan_chevalley
@@ -36,6 +35,8 @@ class Plane:
     __slots__ = ("pair", "matrix", "_plucker")
 
     def __init__(self, pair: SymmetricPair, matrix: RationalMatrix):
+        if matrix.cols != pair.p.dim:
+            raise DomainError(f"plane basis rows need {pair.p.dim} coordinates in p")
         canon = row_space(matrix)
         if canon.rows != matrix.rows:
             raise DomainError("plane basis rows are dependent")
@@ -58,7 +59,7 @@ class Plane:
             coords = self.pair.to_p_coords(x)
         except DomainError:
             return False
-        return in_row_space(self.matrix, coords)
+        return not any(reduced_projection(self.matrix, coords)[1])
 
     def contains_subspace(self, sub: Subspace) -> bool:
         return all(self.contains(e) for e in sub.basis_elements())
@@ -104,18 +105,10 @@ class PluckerVector:
 
     @staticmethod
     def from_matrix(matrix: RationalMatrix) -> "PluckerVector":
-        return PluckerVector.from_integer_rows(_scaled_rows(matrix), matrix.cols)
-
-    @staticmethod
-    def from_integer_rows(rows, n) -> "PluckerVector":
-        """The Plücker vector of the integer rows ``rows`` of length n, from
-        their integer minors.  Scaling a row by a nonzero number scales every
+        """The Plücker vector of the rows of ``matrix``, from the integer
+        minors of its integer rows: scaling by the denominator scales every
         minor alike, so it leaves the vector unchanged."""
-        r = len(rows)
-        return PluckerVector(n, r, {
-            combo: integer_det([[row[j] for j in combo] for row in rows])
-            for combo in itertools.combinations(range(n), r)
-        })
+        return PluckerVector(matrix.cols, matrix.rows, maximal_minors(matrix))
 
     def proportional_to(self, other: "PluckerVector") -> bool:
         return self.n == other.n and self.r == other.r and self.coords == other.coords
@@ -174,7 +167,7 @@ def semisimple_part_matrix(u: Plane) -> RationalMatrix:
     represents the semisimple-part map; its kernel is the nilpotent part."""
     if not is_anisotropic_subalgebra(u):
         raise DomainError("semisimple-part map is linear only on abelian planes")
-    return RationalMatrix._trusted(tuple(jordan_chevalley(x)[0].coords for x in u.basis_elements()))
+    return RationalMatrix([jordan_chevalley(x)[0].coords for x in u.basis_elements()])
 
 
 def _kernel_dim(mat: RationalMatrix) -> int:

@@ -124,3 +124,20 @@ def test_exit_code_contract_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("plane", ["[[0,0,1,9]]", "[[1]]"])
+def test_degenerate_rejects_plane_rows_of_the_wrong_length(capsys, plane):
+    # p of square(sl2) has dimension 3: a fourth coordinate must not be
+    # dropped, nor a short row padded with zeros
+    code = main([
+        "degenerate",
+        "--square",
+        "sl2",
+        "--curve",
+        '[{"kind": "exp", "generator": {"L.e12": 1, "R.e12": 1}, "exponent": -1}]',
+        "--plane",
+        plane,
+    ])
+    assert code == 2
+    assert "3 coordinates" in capsys.readouterr().err

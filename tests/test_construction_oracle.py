@@ -165,16 +165,14 @@ def dense_realization_verdict(g, realization):
 
 def dense_inverse(m):
     n = m.rows
-    aug = RationalMatrix._trusted(
-        tuple(
-            row + tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-            for i, row in enumerate(m.entries)
-        )
-    )
+    aug = RationalMatrix([
+        row + tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
+        for i, row in enumerate(m.entries)
+    ])
     red, pivots = rref(aug)
     if list(pivots) != list(range(n)):
         raise DomainError("matrix is singular")
-    return RationalMatrix._trusted(tuple(row[n:] for row in red.entries[:n]))
+    return RationalMatrix([row[n:] for row in red.entries[:n]])
 
 
 # -- the sparse checks, run on any (g, theta) without building a pair

@@ -10,12 +10,13 @@ from reductions.errors import DomainError, PrecisionError, RankDeficiencyError
 from reductions.exact import (
     ColumnReduction,
     LaurentSeries,
+    LinearSolver,
     Polynomial,
     RationalMatrix,
     SeriesMatrix,
+    _polynomial_columns,
+    combine_rows,
     coordinates_in_row_space,
-    integer_matrix,
-    integer_polynomial_columns,
     integer_roots,
     is_squarefree,
     min_poly,
@@ -89,10 +90,10 @@ def test_min_poly_annihilates_and_is_minimal():
         p = min_poly(m)
         # P(m) = 0 exactly when D^deg·P(M / D) = sum p_k·D^(deg-k)·M^k
         # vanishes on the integer matrix M = D·m, evaluated by integer Horner
-        den, rows = integer_matrix(m)
+        den, rows = m.den, m.ints
         scaled = [c * den ** (p.degree - k) for k, c in enumerate(p.coeffs)]
         assert all(c.denominator == 1 for c in scaled)
-        cols = integer_polynomial_columns([int(c) for c in scaled], rows)
+        cols = _polynomial_columns([int(c) for c in scaled], rows)
         assert not any(any(col) for col in cols)
         # minimality: no monic polynomial of smaller degree annihilates
         for d in range(p.degree):
@@ -362,3 +363,22 @@ def test_nullspace_of_an_injective_matrix_is_empty_with_the_width():
     assert (kernel.rows, kernel.cols) == (0, 3)
     assert coordinates_in_row_space(kernel, [0, 0, 0]) == ()
     assert coordinates_in_row_space(kernel, [1, 0, 0]) is None
+
+
+@pytest.mark.parametrize("length", [0, 2, 4])
+def test_vectors_of_the_wrong_length_are_rejected(length):
+    # a short vector must not be padded with zeros, nor a long one cut
+    m = RationalMatrix([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
+    vector = tuple(range(1, length + 1))
+    calls = [
+        lambda: m.apply(vector),
+        lambda: combine_rows(vector, m),
+        lambda: solve(m, vector),
+        lambda: LinearSolver(m).solve(vector),
+        lambda: coordinates_in_row_space(m, vector),
+        lambda: coordinates_in_row_space(RationalMatrix.zero(0, 3), vector),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+    assert RationalMatrix.identity(3).apply((1, 2, 3)) == (1, 2, 3)

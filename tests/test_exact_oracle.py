@@ -37,10 +37,7 @@ from reductions.exact import (
     _sum_of_scaled,
     Polynomial,
     combine_rows,
-    integer_det,
-    integer_kernel,
-    integer_matrix,
-    integer_min_poly,
+    coordinates_in_row_space,
     integer_squarefree_part,
     intersect_row_spaces,
     is_squarefree,
@@ -48,6 +45,7 @@ from reductions.exact import (
     nullspace,
     rank,
     rat,
+    reduced_projection,
     rref,
     row_space,
     solve,
@@ -244,25 +242,25 @@ def test_rational_eigenvalues_match_sympy(m):
 @settings(max_examples=100, deadline=None)
 @given(m=square_matrices(max_dim=5))
 def test_integer_min_poly_is_the_scaled_rational_one(m):
-    den, rows = integer_matrix(m)
+    den = m.den
     assert den == math.lcm(*[a.denominator for a in m.vec()])
-    p = integer_min_poly(rows)
+    p = min_poly(m * den).coeffs
     deg = len(p) - 1
-    assert p[-1] == 1 and all(type(c) is int for c in p)
+    assert p[-1] == 1 and all(c.denominator == 1 for c in p)
     assert list(p) == [c * den ** (deg - k) for k, c in enumerate(_sympy_min_poly(m))]
 
 
 def test_integer_min_poly_on_edge_cases():
-    assert integer_min_poly([]) == (1,)
+    assert min_poly(RationalMatrix.from_integers(1, [])).coeffs == (1,)
     assert min_poly(RationalMatrix([])).coeffs == (Fraction(1),)
-    assert integer_min_poly([[0, 0], [0, 0]]) == (0, 1)
-    assert integer_min_poly([[-3, 0, 0], [0, -3, 0], [0, 0, -3]]) == (3, 1)
+    assert min_poly(RationalMatrix.from_integers(1, [[0, 0], [0, 0]])).coeffs == (0, 1)
+    assert min_poly(RationalMatrix.from_integers(1, [[-3, 0, 0], [0, -3, 0], [0, 0, -3]])).coeffs == (3, 1)
     # a non-integer matrix: D = 6, and D·m has the minimal polynomial
     # (x - 3)(x + 2)^2
     m = RationalMatrix([[Fraction(1, 2), 0, 0], [0, Fraction(-1, 3), 1], [0, 0, Fraction(-1, 3)]])
-    den, rows = integer_matrix(m)
-    assert den == 6 and rows == [[3, 0, 0], [0, -2, 6], [0, 0, -2]]
-    assert integer_min_poly(rows) == (-12, -8, 1, 1)
+    den, rows = m.den, m.ints
+    assert den == 6 and rows == ((3, 0, 0), (0, -2, 6), (0, 0, -2))
+    assert min_poly(RationalMatrix.from_integers(1, rows)).coeffs == (-12, -8, 1, 1)
     p = min_poly(m)
     assert all(type(c) is Fraction for c in p.coeffs)
     assert p.coeffs == (Fraction(-1, 18), Fraction(-2, 9), Fraction(1, 6), Fraction(1))
@@ -415,11 +413,11 @@ def shaped_matrices(draw, max_dim=5):
 @settings(max_examples=150, deadline=None)
 @given(m=square_matrices())
 def test_integer_det_matches_sympy(m):
-    den, rows = integer_matrix(m)
-    before = [list(row) for row in rows]
-    d = integer_det(rows)
-    assert type(d) is int
-    assert rows == before  # the argument is left as it is
+    den, rows = m.den, m.ints
+    before = tuple(tuple(row) for row in rows)
+    d = RationalMatrix.from_integers(1, rows).det()
+    assert d.denominator == 1
+    assert m.ints == before  # the argument is left as it is
     assert d == from_sympy(to_sympy(m).det() * den**m.rows)
     assert m.det() == from_sympy(to_sympy(m).det())
 
@@ -428,18 +426,19 @@ def test_integer_det_matches_sympy(m):
 @settings(max_examples=150, deadline=None)
 @given(m=shaped_matrices())
 def test_integer_kernel_matches_nullspace_and_sympy(m):
-    ker = integer_kernel(integer_matrix(m)[1], m.cols)
+    canon = nullspace(m)
+    ker = canon.ints
     s_ker = to_sympy(m).nullspace()
     assert len(ker) == len(s_ker) == m.cols - rank(m)
     pivots = rref(m)[1]
     free = [c for c in range(m.cols) if c not in pivots]
-    for v, f in zip(ker, free):
-        # one integer vector per free column, zero on the other free columns
+    # one kernel vector per free column: on the free columns they are independent
+    on_free = RationalMatrix.from_integers(1, [[v[f] for f in free] for v in ker], len(free))
+    assert rank(on_free) == len(free)
+    for v in ker:
         assert all(type(a) is int for a in v) and len(v) == m.cols
-        assert v[f] > 0 and not any(v[c] for c in free if c != f)
         assert all(a == 0 for a in m.apply(v))
-    canon = row_space(RationalMatrix(ker)) if ker else RationalMatrix.zero(0, m.cols)
-    assert canon == nullspace(m)
+    assert canon == row_space(canon)
     if s_ker:
         stacked = sympy.Matrix.hstack(*s_ker).T
         assert canon.entries == sympy_entries(stacked.rref()[0])
@@ -456,10 +455,10 @@ def test_row_space_matches_sympy_and_keeps_reduced_input(m):
     # reduced input with no zero row comes back as the same object
     assert row_space(canon) is canon
     # the same rows with a zero row, or out of order, are reduced again
-    padded = RationalMatrix._trusted(canon.entries + ((Fraction(0),) * m.cols,), m.cols)
+    padded = RationalMatrix(canon.entries + ((Fraction(0),) * m.cols,))
     assert row_space(padded) is not padded and row_space(padded) == canon
     if canon.rows > 1:
-        swapped = RationalMatrix._trusted(canon.entries[::-1], m.cols)
+        swapped = RationalMatrix(canon.entries[::-1])
         assert row_space(swapped) is not swapped and row_space(swapped) == canon
 
 
@@ -503,6 +502,93 @@ def test_plucker_vector_matches_sympy_minors(data):
     assert pv.coords == expected
     assert list(pv.coords) == sorted(expected)
     assert all(type(v) is Fraction for v in pv.coords.values())
+
+
+# -- the stored form: integer rows over one canonical denominator
+
+
+def _sized(draw, rows, cols):
+    """A drawn matrix of the given shape; one with no rows keeps its width."""
+    return draw(matrices(rows=rows, cols=cols)) if rows else RationalMatrix.zero(0, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=shaped_matrices(), k=st.integers(-6, 6).filter(bool))
+def test_stored_form_is_canonical(m, k):
+    flat = [a for row in m.ints for a in row]
+    assert all(type(a) is int for a in flat) and type(m.den) is int
+    # den is the least common denominator, so no common factor is left
+    assert m.den > 0 and m.den == math.lcm(*[a.denominator for a in m.vec()])
+    assert math.gcd(m.den, *flat) == 1
+    assert len(m.ints) == len(m.entries) == m.rows
+    assert all(len(row) == m.cols for row in m.ints)
+    assert m.entries == tuple(tuple(Fraction(a, m.den) for a in row) for row in m.ints)
+    assert all_fractions(m)
+    # any multiple of the pair, negative ones included, is the same matrix
+    same = RationalMatrix.from_integers(k * m.den, [[k * a for a in row] for row in m.ints], m.cols)
+    assert (same.den, same.ints, same.rows, same.cols) == (m.den, m.ints, m.rows, m.cols)
+    assert same == m and hash(same) == hash(m)
+    assert same.entries == m.entries and all_fractions(same)
+    assert RationalMatrix(m.entries) == m
+
+
+def test_from_integers_rejects_a_zero_denominator_and_ragged_rows():
+    with pytest.raises(DomainError):
+        RationalMatrix.from_integers(0, [[1]])
+    with pytest.raises(DomainError):
+        RationalMatrix.from_integers(2, [[1, 2], [3]])
+    m = RationalMatrix.from_integers(-4, [[2, 0], [0, -6]])
+    assert (m.den, m.ints) == (2, ((-1, 0), (0, 3)))
+    assert m.entries == ((Fraction(-1, 2), 0), (0, Fraction(3, 2)))
+
+
+@needs_sympy
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_stored_form_operations_match_sympy_on_every_shape(data):
+    r, c, k = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, b, other = _sized(data.draw, r, c), _sized(data.draw, r, c), _sized(data.draw, c, k)
+    sa, sb, so = to_sympy(a), to_sympy(b), to_sympy(other)
+    for got, expected in ((a + b, sa + sb), (a - b, sa - sb), (-a, -sa), (a * other, sa * so),
+                          (a.transpose(), sa.T), (a * Fraction(-2, 3), sa * sympy.Rational(-2, 3))):
+        assert (got.rows, got.cols) == (expected.rows, expected.cols)
+        assert got.entries == sympy_entries(expected)
+        assert all_fractions(got)
+    v = [data.draw(entries) for _ in range(c)]
+    sv = sympy.Matrix(c, 1, [sympy.Rational(Fraction(x).numerator, Fraction(x).denominator) for x in v])
+    assert a.apply(v) == tuple(from_sympy(x) for x in sa * sv)
+    red, pivots = sa.rref()
+    canon = row_space(a)
+    assert (canon.rows, canon.cols) == (len(pivots), c)
+    assert canon.entries == sympy_entries(red)[: len(pivots)]
+    ker, s_ker = nullspace(a), sa.nullspace()
+    assert (ker.rows, ker.cols) == (len(s_ker), c)
+    if s_ker:
+        assert ker.entries == sympy_entries(sympy.Matrix.hstack(*s_ker).T.rref()[0])
+    square = _sized(data.draw, r, r)
+    sq = to_sympy(square)
+    assert square.trace() == from_sympy(sq.trace()) and type(square.trace()) is Fraction
+    assert square.det() == from_sympy(sq.det())
+    assert list(min_poly(square).coeffs) == _sympy_min_poly(square)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_reduced_projection_is_membership_in_the_row_space(data):
+    # the pivot coordinates and one combination decide membership as the
+    # augmented elimination of coordinates_in_row_space does
+    basis = row_space(data.draw(shaped_matrices(max_dim=4)))
+    coeffs = [data.draw(entries) for _ in range(basis.rows)]
+    inside = combine_rows(coeffs, basis)
+    at, rest = reduced_projection(basis, inside)
+    assert at == tuple(Fraction(x) for x in coeffs) and not any(rest)
+    assert at == coordinates_in_row_space(basis, inside)
+    v = [data.draw(entries) for _ in range(basis.cols)]
+    at, rest = reduced_projection(basis, v)
+    expected = coordinates_in_row_space(basis, v)
+    assert (None if any(rest) else at) == expected
+    assert all(type(x) is Fraction for x in at + rest) and len(rest) == basis.cols
+    assert tuple(x + y for x, y in zip(combine_rows(at, basis), rest)) == tuple(map(Fraction, v))
 
 
 # -- internal constructors return Fractions only

@@ -295,3 +295,15 @@ def test_product_realization_is_block_diagonal_and_exact():
         for r, row in enumerate(block.entries):
             expected[lo + r][lo : lo + len(row)] = row
         assert m == RationalMatrix(expected)
+
+
+def test_subspace_coordinates_reject_vectors_of_the_wrong_length():
+    g = sl(2)
+    sub = g.subspace([g.basis_element(0), g.basis_element(2)])
+    assert sub.coordinates_of((1, 0, 5)) == (1, 5)
+    assert sub.coordinates_of((1, 1, 5)) is None
+    for coords in ((1, 0), (1, 0, 5, 0), ()):
+        with pytest.raises(DomainError):
+            sub.coordinates_of(coords)
+        with pytest.raises(DomainError):
+            sub.residual(coords)

@@ -30,26 +30,27 @@ def test_square_sl3_shape():
 
 
 def test_restricted_roots_compute_each_minimal_polynomial_once(monkeypatch):
-    # the squarefree check and the eigenvalues of one ad matrix read one
-    # integer minimal polynomial; square(sl3) tries two generic elements
+    # the eigenvalues of one ad matrix, which also show whether it acts
+    # semisimply, read one minimal polynomial; square(sl3) tries two
+    # generic elements
     import reductions.exact as exact
     import reductions.liealg as liealg
     import reductions.pairs as pairs
 
     pair = make_cartesian_square(build_classical("sl", 3))
     seen = []
-    original = exact.integer_min_poly
+    original = exact.min_poly
 
-    def counting(rows):
-        seen.append(rows)
-        return original(rows)
+    def counting(m):
+        seen.append(m)
+        return original(m)
 
     for module in (exact, liealg, pairs):
-        if hasattr(module, "integer_min_poly"):
-            monkeypatch.setattr(module, "integer_min_poly", counting)
+        if hasattr(module, "min_poly"):
+            monkeypatch.setattr(module, "min_poly", counting)
     pair.roots()
     assert len(seen) == 2
-    assert len({repr(rows) for rows in seen}) == 2
+    assert len({repr(m) for m in seen}) == 2
 
 
 def test_square_g2_shape():
@@ -209,3 +210,11 @@ def test_involution_that_is_not_an_automorphism_is_rejected():
     cartan = g.subspace([g.basis_element(g.labels.index("h1"))])
     with pytest.raises(InternalCheckError, match=rf"automorphism on basis pair \({e}, {f}\)"):
         SymmetricPair(g, theta, cartan)
+
+
+def test_p_coordinates_of_the_wrong_length_are_rejected():
+    pair = square_of("sl2")
+    assert pair.from_p_coords([0, 0, 1]).coords == pair.p.basis.entries[2]
+    for coords in ([1], [0, 0, 1, 9], []):
+        with pytest.raises(DomainError):
+            pair.from_p_coords(coords)
