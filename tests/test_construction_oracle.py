@@ -264,6 +264,28 @@ def test_bracket_matches_dense_bracket(make, data):
         assert all_fractions(got.coords)
 
 
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("make", [lambda: build_classical("sl", 3), build_g2, scaled_sl2])
+def test_killing_matches_the_trace_of_dense_ad_products(make, data):
+    # the integer Gram matrix and its denominator against tr(ad x · ad y),
+    # with every ad column a dense bracket and the trace a Fraction fold
+    g = make()
+    x, y = (
+        Element(g, [data.draw(st.one_of(st.just(0), entries)) for _ in range(g.dim)])
+        for _ in range(2)
+    )
+    basis = [g.basis_element(j) for j in range(g.dim)]
+    ad_x = [dense_bracket(g, x, b).coords for b in basis]  # columns
+    ad_y = [dense_bracket(g, y, b).coords for b in basis]
+    expected = sum(
+        (ad_x[k][i] * ad_y[i][k] for i in range(g.dim) for k in range(g.dim)), Fraction(0)
+    )
+    got = g.killing(x, y)
+    assert got == expected and type(got) is Fraction
+    assert g.killing_matrix().entries[0][0] == g.killing(basis[0], basis[0])
+
+
 def test_scaled_sl2_has_non_integer_structure_constants():
     g = scaled_sl2()
     constants = {c for bracket in g.table.values() for c in bracket.values()}

@@ -41,6 +41,7 @@ from reductions.exact import (
     integer_squarefree_part,
     intersect_row_spaces,
     is_squarefree,
+    matrix_polynomial,
     min_poly,
     nullspace,
     rank,
@@ -570,6 +571,15 @@ def test_stored_form_operations_match_sympy_on_every_shape(data):
     assert square.trace() == from_sympy(sq.trace()) and type(square.trace()) is Fraction
     assert square.det() == from_sympy(sq.det())
     assert list(min_poly(square).coeffs) == _sympy_min_poly(square)
+    coeffs = data.draw(st.lists(entries, max_size=4))
+    powers = [sympy.eye(r)]
+    for _ in coeffs[1:]:
+        powers.append(powers[-1] * sq)
+    expected = sympy.zeros(r, r)
+    for c, power in zip(coeffs, powers):
+        expected += power * sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+    got = matrix_polynomial(Polynomial(coeffs), square)
+    assert (got.rows, got.cols) == (r, r) and got.entries == sympy_entries(expected)
 
 
 @settings(max_examples=150, deadline=None)
