@@ -19,10 +19,8 @@ from .errors import DomainError, InternalCheckError
 from .exact import (
     LinearSolver,
     RationalMatrix,
-    nullspace,
+    eigenspaces,
     rank,
-    rational_eigenvalues,
-    shifted,
 )
 from .liealg import (
     Element,
@@ -156,14 +154,10 @@ def decomposition_signature(pair: SymmetricPair, x: Element) -> DecompositionSig
     s_el, _ = jordan_chevalley(x)
     s = _square_factor_matrix(pair, s_el) if not s_el.is_zero() else RationalMatrix.zero(n, n)
     nil = y - s
-    eig = rational_eigenvalues(s) if not s.is_zero() else {Fraction(0): n}
-    blocks = []
-    for lam, mult in eig.items():
-        basis = nullspace(shifted(s, lam))
-        if basis.rows != mult:
-            raise InternalCheckError("semisimple part has a defective eigenspace")
-        restricted = _restrict_to_invariant(nil, basis)
-        blocks.append((mult, _jordan_partition(restricted)))
+    spaces = [basis for _, basis in eigenspaces(s)]
+    if sum(basis.rows for basis in spaces) != n:
+        raise InternalCheckError("semisimple part has a defective eigenspace")
+    blocks = [(basis.rows, _jordan_partition(_restrict_to_invariant(nil, basis))) for basis in spaces]
     return DecompositionSignature(n, blocks)
 
 
@@ -386,10 +380,6 @@ class SubvarietyOfReductions:
     def contains(self, u: Plane) -> bool:
         """Membership characterization: the plane contains the anchor."""
         return u.contains_subspace(self.anchor)
-
-    def to_sub_plane(self, u: Plane) -> Plane:
-        sub = self.embedding.to_restricted_subspace(u.to_subspace())
-        return plane_from_subspace(self.centralizer_pair, sub)
 
     def to_ambient_plane(self, u: Plane) -> Plane:
         sub = self.embedding.to_ambient_subspace(u.to_subspace())

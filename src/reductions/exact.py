@@ -35,13 +35,16 @@ denominator of its entries, and ``ints``, the integer rows den·m.  The pair
 is canonical, so equality and hashing compare integers, and ``entries``
 (``Fraction`` rows) is built on first read.  Every operation on matrices
 (products, sums, ``apply``, ``det``, elimination, kernels, minimal
-polynomials, eigenvalues) runs on the integer rows and returns a matrix
+polynomials, eigenspaces) runs on the integer rows and returns a matrix
 through ``RationalMatrix.from_integers``, which reduces a denominator and
 integer rows to the canonical pair; a ``Fraction`` is made only where a
 caller reads one.  The integer kernels behind them (Gauss-Jordan in
 ``_reduced_rows``, Bareiss in ``_det``, Krylov in ``_vector_min_poly``,
 Horner in ``_polynomial_columns``) are private.  ``min_poly`` runs on D·m,
 whose minimal polynomial is monic integer, and divides the result back.
+``eigenspaces`` decomposes a matrix once: the integer roots of that
+polynomial, found by integer Horner and synthetic division
+(``integer_roots``), and one kernel per root, yielded lazily.
 Every rational linear combination of matrix rows, sum c_r·row_r, runs
 through ``combine_rows``, one integer combination over a common
 denominator; membership in a row space given in reduced echelon form reads
@@ -64,7 +67,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .errors import (
     DomainError,
@@ -107,9 +110,6 @@ class Polynomial:
 
     def is_zero(self):
         return not self.coeffs
-
-    def is_constant(self):
-        return len(self.coeffs) <= 1
 
     def leading(self) -> Fraction:
         if not self.coeffs:
@@ -249,35 +249,49 @@ def _polynomial_product(a, b) -> list:
 
 
 def integer_roots(p: Polynomial, bound=None) -> dict[Fraction, int]:
-    """All rational roots of p, with multiplicities, found by exact scan.
+    """All rational roots of p, with multiplicities, in increasing order,
+    found by exact scan over integers.
 
-    Candidates are rationals whose denominator divides the leading
-    coefficient of the primitive integer form of p, with numerator inside
-    ``bound`` (default: the Cauchy root bound).  Roots are verified by exact
-    evaluation and deflation.
+    On the primitive integer form a_0 + ... + a_d·x^d of p, a root num/q in
+    lowest terms has q dividing a_d and num dividing the lowest nonzero
+    coefficient (the rational root theorem).  Candidates with |num| inside
+    ``bound``·q (default: the Cauchy root bound) that pass this test are
+    evaluated by integer Horner, q^d·p(num/q), and each root is divided
+    out exactly by q·x - num (synthetic division).
     """
     if p.is_zero():
         raise DomainError("zero polynomial has every root")
-    ics = _integer_row(p.coeffs)[1]
-    lead = abs(ics[-1])
+    work = _primitive(_integer_row(p.coeffs)[1])
+    lead = work[-1]
     if bound is None:
-        bound = 1 + max(abs(c) for c in ics) // lead + 1
+        bound = 1 + max(abs(c) for c in work) // lead + 1
     roots: dict[Fraction, int] = {}
-    candidates = set()
+    zeros = next(i for i, c in enumerate(work) if c)
+    if zeros:
+        roots[_ZERO] = zeros
+        work = work[zeros:]
     for q in _divisors(lead):
         for num in range(-int(bound) * q, int(bound) * q + 1):
-            candidates.add(Fraction(num, q))
-    work = p
-    for cand in sorted(candidates):
-        if work.is_constant():
-            break
-        mult = 0
-        while not work.is_constant() and work(cand) == 0:
-            work = work // Polynomial([-cand, 1])
-            mult += 1
-        if mult:
-            roots[cand] = mult
-    return roots
+            if len(work) == 1:
+                break
+            if not num or work[0] % num or gcd(num, q) != 1:
+                continue
+            mult = 0
+            while len(work) > 1 and not _scaled_value(work, num, q):
+                work = _long_division(work, (-num, q), operator.floordiv)[0]
+                mult += 1
+            if mult:
+                roots[Fraction(num, q)] = mult
+    return dict(sorted(roots.items()))
+
+
+def _scaled_value(p, num, q) -> int:
+    """q^d·p(num/q) for the integer polynomial p of degree d, by Horner."""
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * scale
+        scale *= q
+    return acc
 
 
 def _divisors(n):
@@ -690,18 +704,25 @@ class LinearSolver:
             raise DomainError("matrix is singular")
         return self.transform
 
-    def solve(self, rhs):
-        """One solution of A·x = rhs, or None when inconsistent."""
-        y = self.transform.apply(rhs)
-        for r in range(self.rank, self.matrix.rows):
-            if y[r] != 0:
-                return None
-        x = [_ZERO] * self.matrix.cols
+    def solve(self, rhs, den=1):
+        """One solution of A·x = rhs / den, or None when inconsistent;
+        ``rhs`` holds ints or Fractions and ``den`` is a nonzero int.  The
+        recorded transform runs on the integer rows, and each nonzero
+        coordinate is one Fraction over the product of the denominators."""
+        t = self.transform
+        if len(rhs) != t.cols:
+            raise DomainError("shape mismatch")
+        rden, ints = _integer_row(rhs)
+        live = [(j, v) for j, v in enumerate(ints) if v]
+        y = [sum([row[j] * v for j, v in live]) for row in t.ints]
+        if any(y[self.rank:]):
+            return None
+        x = [0] * self.matrix.cols
         for r, p in enumerate(self.pivots):
             x[p] = y[r]
         # validity needs the non-pivot coordinates of the reduced rows to
         # vanish against x, which holds since free variables are set to zero
-        return tuple(x)
+        return _fractions(x, rden * t.den * den)
 
 
 def coordinates_in_row_space(matrix, vector):
@@ -805,8 +826,9 @@ def _polynomial_columns(p, rows) -> list[list[int]]:
     """The columns of p(M), by Horner, for an integer polynomial p and the
     square integer matrix M given as ``rows``."""
     sparse = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
-    cols = [[0] * len(rows) for _ in rows]
-    for c in reversed(p):
+    lead = p[-1] if p else 0
+    cols = [[lead if j == i else 0 for j in range(len(rows))] for i in range(len(rows))]
+    for c in reversed(p[:-1]):
         cols = [_sparse_apply(sparse, col) for col in cols]
         for i, col in enumerate(cols):
             col[i] += c
@@ -824,33 +846,45 @@ def matrix_polynomial(p: Polynomial, m: RationalMatrix) -> RationalMatrix:
     return RationalMatrix.from_integers(den * m.den**deg, list(zip(*cols)), m.cols)
 
 
-def rational_eigenvalues(m: RationalMatrix) -> dict[Fraction, int]:
-    """Eigenvalues with algebraic multiplicities; all must be rational.
+def eigenspaces(m: RationalMatrix):
+    """The eigenvalues λ of a square m, in increasing order, each with the
+    canonical basis of its eigenspace (the rows of ``nullspace(m - λ)``);
+    all must be rational.
 
-    The minimal polynomial of the integer matrix M = D·m (D = m.den) is
+    The minimal polynomial P of the integer matrix M = D·m (D = m.den) is
     monic integer, so its rational roots are integers within the Gershgorin
-    radius of M and the scan is exact; an eigenvalue λ of M is λ/D of m.
-    Raises IrrationalSpectrumError when a nonlinear factor survives.
+    radius of M (``integer_roots``).  An eigenvalue λ of M is λ/D of m with
+    the same eigenspace, one ``nullspace(shifted(M, λ))``.  Raises
+    IrrationalSpectrumError, before any elimination, when a nonlinear
+    factor of P survives.  The pairs are yielded lazily, so a caller that
+    stops early pays for no more eliminations.
+
+    m is semisimple exactly when P is squarefree and exactly when the
+    eigenspace dimensions sum to the size of m.  Once the last eigenspace
+    is yielded the two verdicts are compared: InternalCheckError when they
+    differ.
     """
     scaled = m * m.den
     p = min_poly(scaled)
-    rows = scaled.ints
-    gersh = max((sum(map(abs, row)) for row in rows), default=0)
+    gersh = max((sum(map(abs, row)) for row in scaled.ints), default=0)
     roots = integer_roots(p, bound=gersh + 1)
     if sum(roots.values()) < p.degree:
         raise IrrationalSpectrumError(
             "matrix has a minimal-polynomial factor with no rational root"
         )
-    out = {}
-    for lam, mult in roots.items():
-        # (x - lam)^mult, whose kernel on M is the generalized eigenspace;
-        # its transpose has a kernel of the same dimension
-        power = [comb(mult, k) * int(-lam) ** (mult - k) for k in range(mult + 1)]
-        cols = _polynomial_columns(power, rows)
-        out[lam / m.den] = len(rows) - len(_reduced_rows(cols, len(rows))[1])
-    if sum(out.values()) != len(rows):
-        raise InternalCheckError("eigenvalue multiplicities do not sum to the dimension")
-    return out
+
+    def spaces():
+        total = 0
+        for lam in roots:
+            basis = nullspace(shifted(scaled, lam))
+            total += basis.rows
+            yield lam / m.den, basis
+        if (total == scaled.rows) != (len(roots) == p.degree):
+            raise InternalCheckError(
+                "the minimal polynomial and the eigenspaces disagree on semisimplicity"
+            )
+
+    return spaces()
 
 
 # ---------------------------------------------------------------------------

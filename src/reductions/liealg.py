@@ -20,13 +20,13 @@ from .exact import (
     LinearSolver,
     Polynomial,
     RationalMatrix,
+    eigenspaces,
     is_squarefree,
     intersect_row_spaces,
     matrix_polynomial,
     min_poly,
     nullspace,
     rank,
-    rational_eigenvalues,
     reduced_projection,
     row_space,
     squarefree_part,
@@ -81,29 +81,54 @@ class LieAlgebra:
                 raise InternalCheckError("bracket table must be stored with i < j")
 
     def _check_jacobi(self):
+        """[[e_a, e_b], e_c] summed over the three cyclic orders of every
+        basis triple vanishes, on the integer table: the sum is L² times
+        the rational one, L the table's common denominator."""
+        rows = self._int_rows
         for i, j, k in itertools.combinations(range(self.dim), 3):
             acc = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self._basis_bracket(a, b)
-                for m, cm in inner.items():
-                    for l, cl in self._basis_bracket_list(m, c):
-                        acc[l] = acc.get(l, _ZERO) + cm * cl
-            if any(v != 0 for v in acc.values()):
+                for m, cm in rows[a].get(b, ()):
+                    for l, cl in rows[m].get(c, ()):
+                        acc[l] = acc.get(l, 0) + cm * cl
+            if any(acc.values()):
                 raise InternalCheckError(
                     f"Jacobi identity fails on basis triple ({i}, {j}, {k})"
                 )
 
     def _check_realization(self):
+        """m_i·m_j - m_j·m_i against the realization of [e_i, e_j] for every
+        basis pair i < j, on integers: with F the common denominator of the
+        realization and L the table's, L·[F·m_i, F·m_j] against F times the
+        combination of the F·m_k at the integer table terms (k, L·c)."""
         if len(self.realization) != self.dim:
             raise DomainError("realization size mismatch")
-        if rank(self._flat_realization()) < self.dim:
+        flat = self._flat_realization()
+        if rank(flat) < self.dim:
             raise DomainError("realization is not faithful")
+        size = self.realization[0].rows
+        positions = range(size * size)
+        # the nonzeros (column, entry) of each row of each F·m_i
+        sparse = [
+            [[(c, a) for c, a in enumerate(row[r:r + size]) if a] for r in range(0, size * size, size)]
+            for row in flat.ints
+        ]
+        scale, den = self._int_den, flat.den
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                mi, mj = self.realization[i], self.realization[j]
-                terms = self.table.get((i, j), {})
-                image = Element._trusted(self, tuple(terms.get(k, _ZERO) for k in range(self.dim)))
-                if mi * mj - mj * mi != self.realize(image):
+                comm = [
+                    a - b
+                    for a, b in zip(
+                        _integer_product(sparse[i], sparse[j], size),
+                        _integer_product(sparse[j], sparse[i], size),
+                    )
+                ]
+                image = [0] * (size * size)
+                for k, c in self._int_rows[i].get(j, ()):
+                    row = flat.ints[k]
+                    for pos in itertools.compress(positions, row):  # its nonzeros
+                        image[pos] += c * row[pos]
+                if any(scale * a != den * b for a, b in zip(comm, image)):
                     raise InternalCheckError(
                         f"realization commutator mismatch on basis pair ({i}, {j})"
                     )
@@ -116,9 +141,6 @@ class LieAlgebra:
         if i < j:
             return self.table.get((i, j), {})
         return {k: -c for k, c in self.table.get((j, i), {}).items()}
-
-    def _basis_bracket_list(self, i, j):
-        return self._basis_bracket(i, j).items()
 
     def element(self, coords) -> "Element":
         return Element(self, coords)
@@ -199,11 +221,7 @@ class LieAlgebra:
     def _flat_realization(self) -> RationalMatrix:
         """Row i is the realization matrix of e_i, flattened."""
         if self._flat is None:
-            mats = self.realization
-            den = lcm(*[m.den for m in mats])
-            self._flat = RationalMatrix.from_integers(
-                den, [[a * (den // m.den) for row in m.ints for a in row] for m in mats]
-            )
+            self._flat = _flattened(self.realization)
         return self._flat
 
     def realize(self, x: "Element") -> RationalMatrix:
@@ -228,7 +246,7 @@ class LieAlgebra:
         """Element whose realization is mat; error when mat is outside."""
         if self._realization_solver is None:
             self._realization_solver = LinearSolver(self._flat_realization().transpose())
-        coords = self._realization_solver.solve(mat.vec())
+        coords = self._realization_solver.solve([a for row in mat.ints for a in row], mat.den)
         if coords is None:
             raise InternalCheckError("matrix does not lie in the realized algebra")
         return Element._trusted(self, coords)
@@ -259,6 +277,26 @@ def _integer_table(dim, table):
                 rows[i][j] = terms
                 rows[j][i] = tuple((k, -c) for k, c in terms)
     return den, rows
+
+
+def _flattened(mats) -> RationalMatrix:
+    """The matrix whose row i is mats[i] flattened, over one denominator."""
+    den = lcm(*[m.den for m in mats])
+    return RationalMatrix.from_integers(
+        den, [[a * (den // m.den) for row in m.ints for a in row] for m in mats]
+    )
+
+
+def _integer_product(a, b, size) -> list[int]:
+    """The product of two square integer matrices, each given as the
+    nonzeros (column, entry) of its rows, flattened row by row."""
+    out = [0] * (size * size)
+    for r, row in enumerate(a):
+        base = r * size
+        for k, x in row:
+            for c, y in b[k]:
+                out[base + c] += x * y
+    return out
 
 
 def _scaled_nonzeros(coords):
@@ -464,13 +502,13 @@ def _sp_basis_labels(n):
 
 def algebra_from_matrices(labels, mats, cartan_indices=None, check=True) -> LieAlgebra:
     """Structure constants computed from commutators of the given matrices."""
-    solver = LinearSolver(RationalMatrix([list(m.vec()) for m in mats]).transpose())
+    solver = LinearSolver(_flattened(mats).transpose())
     table = {}
     dim = len(mats)
     for i in range(dim):
         for j in range(i + 1, dim):
             comm = mats[i] * mats[j] - mats[j] * mats[i]
-            coords = solver.solve(comm.vec())
+            coords = solver.solve([a for row in comm.ints for a in row], comm.den)
             if coords is None:
                 raise DomainError("matrix family is not closed under commutators")
             entry = {k: c for k, c in enumerate(coords) if c != 0}
@@ -654,12 +692,11 @@ def build_g2() -> LieAlgebra:
 
 def _validate_g2(g):
     for c1, c2 in ((3, 2), (1, 2), (2, 7)):
-        ad = g.ad(g.element([c1, c2] + [0] * 12))
-        eig = rational_eigenvalues(ad)
-        nonzero = {k: v for k, v in eig.items() if k != 0}
-        if len(nonzero) == 12 and all(v == 1 for v in nonzero.values()) and eig.get(0) == 2:
-            if nullspace(ad).rows == 2:
-                return  # 12 distinct root values, semisimple adjoint action
+        dims = {lam: basis.rows for lam, basis in eigenspaces(g.ad(g.element([c1, c2] + [0] * 12)))}
+        # 12 distinct root values and a 2-dimensional kernel fill the 14
+        # dimensions: the adjoint action is semisimple
+        if len(dims) == 13 and dims.get(0) == 2 and sum(dims.values()) == 14:
+            return
     raise InternalCheckError("root-space decomposition of the built algebra is wrong")
 
 

@@ -24,9 +24,9 @@ from .exact import (
     LinearSolver,
     RationalMatrix,
     combine_rows,
+    eigenspaces,
     nullspace,
     rat,
-    rational_eigenvalues,
     shifted,
 )
 from .liealg import (
@@ -66,20 +66,24 @@ class SymmetricPair:
         self._check_cartan()
 
     def _check_automorphism(self):
-        """theta[e_i, e_j] = [theta e_i, theta e_j] for every basis pair i < j;
-        the left side is summed over the nonzeros of the bracket table and of
-        the images theta e_k."""
+        """theta[e_i, e_j] = [theta e_i, theta e_j] for every basis pair i < j,
+        on integers: with T = theta.den and L the table's common denominator,
+        T times the image under T·theta of the table terms (k, L·c) against
+        the integer bracket of the columns T·theta e_i and T·theta e_j (both
+        sides are L·T² times the rational ones).  The left side is summed
+        over the nonzeros of the table and of the columns."""
         g = self.g
-        cols = list(zip(*self.theta.entries))
-        images = [Element._trusted(g, col) for col in cols]
-        sparse = [[(r, v) for r, v in enumerate(col) if v] for col in cols]
+        scale = self.theta.den
+        cols = [[(r, v) for r, v in enumerate(col) if v] for col in zip(*self.theta.ints)]
+        rows = g._int_rows
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
-                lhs = [_ZERO] * g.dim
-                for k, c in g.table.get((i, j), {}).items():
-                    for r, v in sparse[k]:
+                lhs = [0] * g.dim
+                for k, c in rows[i].get(j, ()):
+                    for r, v in cols[k]:
                         lhs[r] += c * v
-                if tuple(lhs) != g.bracket(images[i], images[j]).coords:
+                rhs = g._integer_bracket(cols[i], cols[j])
+                if any(scale * a != b for a, b in zip(lhs, rhs)):
                     raise InternalCheckError(
                         f"involution is not an automorphism on basis pair ({i}, {j})"
                     )
@@ -161,10 +165,8 @@ def make_transpose_pair(n: int) -> SymmetricPair:
         raise DomainError("transpose pair needs n >= 3")
     g = build_classical("sl", n)
     cols = []
-    for i in range(g.dim):
-        m = g.realization[i]
-        neg_t = RationalMatrix([[-m.entries[j][i2] for j in range(n)] for i2 in range(n)])
-        cols.append(g.from_realization(neg_t).coords)
+    for m in g.realization:
+        cols.append(g.from_realization(-m.transpose()).coords)
     theta = RationalMatrix(list(zip(*cols)))
     cartan = g.subspace([g.basis_element(i) for i in g.cartan_indices])
     return SymmetricPair(g, theta, cartan, name=f"transpose{n}")
@@ -259,23 +261,26 @@ def _generic_coefficient_families(r):
 def restricted_roots(pair: SymmetricPair) -> RestrictedRootData:
     """Simultaneous eigenspace decomposition of g under the Cartan subspace.
 
-    A deterministic combination of the Cartan basis is used as the generic
-    element; each of its eigenspaces must be a joint weight space (every
-    Cartan basis element acts as a scalar there), otherwise the coefficients
-    escalate.  Root values must be rational: anything else is an error.
+    A deterministic combination a* of the Cartan basis is used as the
+    generic element, and ad(a*) is decomposed once by ``eigenspaces``.
+    Each of its eigenspaces must be a joint weight space (every Cartan
+    basis element acts as a scalar there), otherwise the coefficients
+    escalate; the eigenspaces come lazily, so an element that fails stops
+    at its first bad eigenvalue.  ad(a*) must act semisimply, its
+    eigenspace dimensions summing to dim g, and root values must be
+    rational: anything else is an error.
     """
     g = pair.g
-    a_els = pair.cartan.basis_elements()
-    r = len(a_els)
+    # each ad(a_i) as (D, the integer nonzeros of the rows of D·ad(a_i))
+    actions = []
+    for a_el in pair.cartan.basis_elements():
+        ad = g.ad(a_el)
+        actions.append((ad.den, [[(j, v) for j, v in enumerate(row) if v] for row in ad.ints]))
     last = None
-    for coeffs in _generic_coefficient_families(r):
+    for coeffs in _generic_coefficient_families(len(actions)):
         astar = Element._trusted(g, combine_rows(coeffs, pair.cartan.basis))
-        ad = g.ad(astar)
-        # a non-semisimple action shows in _weight_spaces as an eigenspace
-        # smaller than its multiplicity
-        eig = rational_eigenvalues(ad)
         try:
-            return _weight_spaces(pair, a_els, coeffs, ad, eig)
+            return _weight_spaces(pair, actions, coeffs, astar)
         except _NotJointError as exc:
             last = exc
             continue
@@ -286,34 +291,40 @@ class _NotJointError(Exception):
     pass
 
 
-def _scalar_action(g, a_el, space):
-    """The scalar by which ad(a_el) acts on space, or _NotJointError."""
-    scalar = None
-    for v in space.basis_elements():
-        w = g.bracket(a_el, v)
-        if scalar is None:
-            lead = next((i for i, c in enumerate(v.coords) if c != 0))
-            scalar = w.coords[lead] / v.coords[lead]
-        if w.coords != tuple(scalar * c for c in v.coords):
+def _scalar_action(action, basis):
+    """The scalar by which ad(a) acts on the row space of ``basis``, or
+    _NotJointError; ``action`` is ad(a) as (D, the integer nonzeros of the
+    rows of D·ad(a)).  Each integer basis row v is compared with
+    w = D·ad(a)·v by cross-multiplication at the lead entry of the first."""
+    den, rows = action
+    num = lead = None
+    for v in basis.ints:
+        w = [sum([a * v[j] for j, a in row if v[j]]) for row in rows]
+        if lead is None:
+            at = next(i for i, c in enumerate(v) if c)
+            num, lead = w[at], v[at]
+        if any(lead * x != num * c for x, c in zip(w, v)):
             raise _NotJointError("eigenspace is not a joint weight space")
-    return scalar
+    return Fraction(num, lead * den)
 
 
-def _weight_spaces(pair, a_els, coeffs, ad, eig) -> RestrictedRootData:
+def _weight_spaces(pair, actions, coeffs, astar) -> RestrictedRootData:
     g = pair.g
     g_alpha: dict[tuple, Subspace] = {}
     zero_space = None
-    for lam, mult in sorted(eig.items()):
-        space = Subspace(g, nullspace(shifted(ad, lam)))
-        if space.dim != mult:
-            raise InternalCheckError("eigenspace dimension mismatch for a semisimple action")
+    total = 0
+    for lam, basis in eigenspaces(g.ad(astar)):
+        total += basis.rows
         if lam == 0:
-            zero_space = space
+            zero_space = Subspace(g, basis)
             continue
-        alpha = tuple(_scalar_action(g, a_el, space) for a_el in a_els)
+        alpha = tuple(_scalar_action(action, basis) for action in actions)
         if sum(c * m for c, m in zip(coeffs, alpha)) != lam:
             raise InternalCheckError("weight values inconsistent with the generic eigenvalue")
-        g_alpha[alpha] = space
+        g_alpha[alpha] = Subspace(g, basis)
+    # a non-semisimple action leaves eigenspaces that do not fill g
+    if total != g.dim:
+        raise InternalCheckError("eigenspace dimension mismatch for a semisimple action")
     if zero_space is None:
         raise InternalCheckError("the centralizer weight space is missing")
 
@@ -350,7 +361,6 @@ def _weight_spaces(pair, a_els, coeffs, ad, eig) -> RestrictedRootData:
         raise InternalCheckError("k does not decompose as m + sum of k_alpha")
 
     # the generic element swaps k_alpha and p_alpha
-    astar = Element._trusted(g, combine_rows(coeffs, pair.cartan.basis))
     for alpha in positive:
         img_k = g.subspace([g.bracket(astar, v) for v in k_alpha[alpha].basis_elements()])
         img_p = g.subspace([g.bracket(astar, v) for v in p_alpha[alpha].basis_elements()])
@@ -564,15 +574,15 @@ def _k_nilpotent_bank(pair: SymmetricPair):
         for coeffs in _generic_coefficient_families(m.dim):
             ad = g.ad(Element._trusted(g, combine_rows(coeffs, m.basis)))
             try:
-                eig = rational_eigenvalues(ad)
+                spaces = eigenspaces(ad)
             except IrrationalSpectrumError:
                 break
             candidate = []
             ok = True
-            for lam in eig:
+            for lam, basis in spaces:
                 if lam == 0:
                     continue
-                space = Subspace(g, nullspace(shifted(ad, lam))).intersect(pair.k)
+                space = Subspace(g, basis).intersect(pair.k)
                 if space.dim == 0:
                     continue
                 for el in space.basis_elements():
@@ -626,6 +636,3 @@ class PairEmbedding:
         if coords is None:
             raise DomainError("element lies outside the subalgebra")
         return Element(self.restricted.g, coords)
-
-    def to_restricted_subspace(self, s: Subspace) -> Subspace:
-        return self.restricted.g.subspace([self.to_restricted(e) for e in s.basis_elements()])

@@ -248,9 +248,6 @@ class GammaFamily:
     def is_linear(self):
         return self.below <= 1 or self.above <= 1
 
-    def is_point(self):
-        return self.dim == 0
-
     def contains(self, u: Plane) -> bool:
         sub = u.to_subspace()
         return (
@@ -271,11 +268,6 @@ class GammaFamily:
             if candidate.dim == self.r:
                 return plane_from_subspace(self.pair, candidate)
         raise DomainError("sampling the family kept hitting degenerate draws")
-
-    def base_plane(self) -> Plane | None:
-        if self.is_point():
-            return plane_from_subspace(self.pair, self.v)
-        return None
 
     def __repr__(self):
         return f"GammaFamily(dim={self.dim}, linear={self.is_linear})"

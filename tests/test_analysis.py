@@ -15,6 +15,7 @@ from reductions.planes import (
     cartan_plane,
     is_anisotropic_subalgebra,
     plane_from_basis,
+    plane_from_subspace,
 )
 from reductions.analysis import (
     DecompositionSignature,
@@ -284,7 +285,11 @@ def test_subvariety_root_kernel():
     assert sv.contains(cartan_plane(pair))
     # transport a plane into the centralizer pair and back
     a = cartan_plane(pair)
-    inner = sv.to_sub_plane(a)
+    inner_g = sv.centralizer_pair.g
+    inner = plane_from_subspace(
+        sv.centralizer_pair,
+        inner_g.subspace([sv.embedding.to_restricted(e) for e in a.to_subspace().basis_elements()]),
+    )
     assert sv.to_ambient_plane(inner) == a
 
 

@@ -1,7 +1,8 @@
 """The construction checks against the dense code they replace.
 
-``SymmetricPair._check_automorphism`` and ``LieAlgebra._check_realization``
-run over the nonzeros of the structure table and of the matrices,
+``LieAlgebra._check_jacobi``, ``SymmetricPair._check_automorphism`` and
+``LieAlgebra._check_realization`` run on integers, over the nonzeros of the
+integer structure table, of the involution's columns and of the matrices,
 ``LieAlgebra.bracket``, ``LieAlgebra.realize``,
 ``SymmetricPair.from_p_coords`` and ``centralizer_in`` over integer rows
 with one common denominator, ``Subspace.coordinates_of`` reads the pivot
@@ -10,9 +11,11 @@ the diagonal alone.  Each is run
 here next to the dense reference it replaced, kept verbatim below: the same
 verdict (the same first failing basis pair, the same message) on the
 criterion-2 pairs, on seeded involutions that are not automorphisms, on
-dense automorphisms, and on tables that fail on exactly one basis pair.
+dense automorphisms, and on tables that fail on exactly one basis pair or
+have one structure constant changed.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -138,6 +141,19 @@ def dense_centralizer(x, v):
     return g.subspace(rows) if rows else Subspace(g, RationalMatrix.zero(0, g.dim))
 
 
+def dense_jacobi_verdict(g):
+    for i, j, k in itertools.combinations(range(g.dim), 3):
+        acc = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            inner = g._basis_bracket(a, b)
+            for m, cm in inner.items():
+                for l, cl in g._basis_bracket(m, c).items():
+                    acc[l] = acc.get(l, Fraction(0)) + cm * cl
+        if any(v != 0 for v in acc.values()):
+            return f"Jacobi identity fails on basis triple ({i}, {j}, {k})"
+    return None
+
+
 def dense_automorphism_verdict(g, theta):
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
@@ -183,6 +199,14 @@ def sparse_automorphism_verdict(g, theta):
     probe.g, probe.theta = g, theta
     try:
         probe._check_automorphism()
+    except InternalCheckError as exc:
+        return str(exc)
+    return None
+
+
+def sparse_jacobi_verdict(labels, table):
+    try:
+        LieAlgebra(labels, table, check=False)._check_jacobi()
     except InternalCheckError as exc:
         return str(exc)
     return None
@@ -385,6 +409,40 @@ def test_bracket_of_basis_elements_matches_the_table():
             assert got == dense_bracket(g, g.basis_element(i), g.basis_element(j))
 
 
+# -- the Jacobi check
+
+
+def criterion2_algebras():
+    return [build_classical("sl", 2), build_classical("sl", 3), build_classical("sp", 4), build_g2(),
+            build_classical("sl", 4)]
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_jacobi_verdict_on_criterion2_algebras(index):
+    g = criterion2_algebras()[index]
+    assert dense_jacobi_verdict(g) is None
+    assert sparse_jacobi_verdict(g.labels, g.table) is None
+
+
+@pytest.mark.parametrize("make", [lambda: build_classical("sl", 3), build_g2, scaled_sl2])
+def test_jacobi_verdict_on_tables_with_one_constant_changed(make):
+    # one structure constant moved by a small rational, or one new term:
+    # both checks fail on the same first triple, or both pass
+    g = make()
+    rng = random.Random(1)
+    failures = 0
+    for _ in range(25):
+        table = {key: dict(terms) for key, terms in g.table.items()}
+        key = rng.choice(sorted(table))
+        k = rng.choice(sorted(table[key]) + [rng.randrange(g.dim)])
+        table[key][k] = table[key].get(k, Fraction(0)) + rat(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
+        alg = LieAlgebra(g.labels, table, check=False)
+        verdict = dense_jacobi_verdict(alg)
+        assert sparse_jacobi_verdict(g.labels, table) == verdict
+        failures += verdict is not None
+    assert failures >= 10  # the changes mostly break the identity
+
+
 # -- the automorphism check
 
 
@@ -472,7 +530,7 @@ def test_automorphism_verdict_on_random_maps():
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: build_classical("sl", 3), lambda: build_classical("sp", 4), build_g2]
+    "make", [lambda: build_classical("sl", 3), lambda: build_classical("sp", 4), build_g2, scaled_sl2]
 )
 def test_realization_verdict_on_criterion2_algebras(make):
     g = make()

@@ -38,6 +38,7 @@ from reductions.exact import (
     Polynomial,
     combine_rows,
     coordinates_in_row_space,
+    eigenspaces,
     integer_squarefree_part,
     intersect_row_spaces,
     is_squarefree,
@@ -223,17 +224,24 @@ def test_min_poly_jordan_and_repeated_blocks():
 @needs_sympy
 @settings(max_examples=100, deadline=None)
 @given(m=square_matrices(max_dim=4))
-def test_rational_eigenvalues_match_sympy(m):
+def test_eigenspaces_match_sympy(m):
     from reductions.errors import IrrationalSpectrumError
-    from reductions.liealg import rational_eigenvalues
 
-    expected = to_sympy(m).eigenvals()
+    sm = to_sympy(m)
+    expected = sm.eigenvals()
     if all(ev.is_rational for ev in expected):
-        got = rational_eigenvalues(m)
-        assert got == {from_sympy(ev): mult for ev, mult in expected.items()}
+        got = list(eigenspaces(m))
+        assert [lam for lam, _ in got] == sorted(from_sympy(ev) for ev in expected)
+        for lam, basis in got:
+            assert type(lam) is Fraction
+            shift = sm - sympy.Rational(lam.numerator, lam.denominator) * sympy.eye(m.rows)
+            assert basis.rows == len(shift.nullspace())  # the geometric multiplicity
+            assert basis == row_space(basis)  # the canonical basis
+            for v in basis.entries:
+                assert m.apply(v) == tuple(lam * c for c in v)
     else:
         with pytest.raises(IrrationalSpectrumError):
-            rational_eigenvalues(m)
+            eigenspaces(m)
 
 
 # -- the integer minimal polynomial, squarefree part and Jordan-Chevalley split

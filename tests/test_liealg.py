@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from reductions.errors import DomainError, InternalCheckError
-from reductions.exact import RationalMatrix, is_squarefree, min_poly, rat
+from reductions.exact import RationalMatrix, eigenspaces, is_squarefree, min_poly, rat
 from reductions.liealg import (
     build_classical,
     build_g2,
@@ -12,7 +12,6 @@ from reductions.liealg import (
     centralizer_in,
     classify_element,
     jordan_chevalley,
-    rational_eigenvalues,
 )
 
 
@@ -151,11 +150,13 @@ def test_g2_dimensions():
 def test_g2_root_count():
     g = build_g2()
     h = g.element([3, 2] + [0] * 12)
-    eig = rational_eigenvalues(g.ad(h))
-    nonzero = {k: v for k, v in eig.items() if k != 0}
+    dims = {lam: basis.rows for lam, basis in eigenspaces(g.ad(h))}
+    nonzero = {k: v for k, v in dims.items() if k != 0}
     assert len(nonzero) == 12
     assert all(v == 1 for v in nonzero.values())
-    assert eig[0] == 2
+    assert dims[0] == 2
+    # the eigenspaces fill g: the adjoint action of h is semisimple
+    assert sum(dims.values()) == g.dim
 
 
 def test_g2_killing_nondegenerate():

@@ -218,3 +218,26 @@ def test_p_coordinates_of_the_wrong_length_are_rejected():
     for coords in ([1], [0, 0, 1, 9], []):
         with pytest.raises(DomainError):
             pair.from_p_coords(coords)
+
+
+def test_a_non_semisimple_action_fails_the_restricted_root_dimension_check():
+    # ad(a) acts on span(x1, y1) and span(x2, y2) as Jordan blocks with
+    # eigenvalues 1 and -1; theta = -1 on a swaps the two blocks, so a
+    # spans a Cartan subspace of p.  With no realization the Cartan check
+    # cannot see that a is not semisimple, and every eigenspace is a joint
+    # weight space: only the eigenspace dimensions, 3 of 5, show it.
+    from reductions.errors import InternalCheckError
+    from reductions.liealg import LieAlgebra
+    from reductions.pairs import SymmetricPair
+
+    one = rat(1)
+    g = LieAlgebra(
+        ["a", "x1", "y1", "x2", "y2"],
+        {(0, 1): {1: one}, (0, 2): {1: one, 2: one}, (0, 3): {3: -one}, (0, 4): {3: -one, 4: -one}},
+    )
+    images = [[-1, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]
+    theta = RationalMatrix(images).transpose()
+    pair = SymmetricPair(g, theta, g.subspace([[1, 0, 0, 0, 0]]), name="jordan")
+    assert pair.p.dim == 3 and pair.k.dim == 2
+    with pytest.raises(InternalCheckError, match="eigenspace dimension mismatch for a semisimple action"):
+        pair.roots()

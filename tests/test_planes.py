@@ -22,6 +22,7 @@ from reductions.planes import (
     is_special_reduction,
     maximal_linear_through,
     plane_from_basis,
+    plane_from_subspace,
 )
 
 
@@ -157,7 +158,7 @@ def test_gamma_family_shapes():
     whole = gamma_subspace(pair, pair.g.subspace([]), full)
     assert whole.dim == 2 * (8 - 2)
     point = gamma_subspace(pair, a, a)
-    assert point.is_point() and point.base_plane() == cartan_plane(pair)
+    assert point.dim == 0 and plane_from_subspace(pair, point.v) == cartan_plane(pair)
     with pytest.raises(DomainError):
         gamma_subspace(pair, full, a)
 
