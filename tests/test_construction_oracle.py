@@ -75,6 +75,13 @@ def scaled_sl2():
     return algebra_from_matrices(["e/2", "f", "h/3"], [e * Fraction(1, 2), f, h * Fraction(1, 3)])
 
 
+def halved_sl2():
+    """sl2 on the basis (e, f, h/2): integer structure constants (L = 1)
+    and a realization with denominator F = 2."""
+    e, f, h = build_classical("sl", 2).realization
+    return algebra_from_matrices(["e", "f", "h/2"], [e, f, h * Fraction(1, 2)])
+
+
 def scaled_sl2_pair():
     """(sl2, so2) on the basis (e/2, f, h/3), theta(x) = -x^T: p is spanned
     by (1, 1/2, 0) and h/3, so its rows are not integer rows."""
@@ -83,6 +90,16 @@ def scaled_sl2_pair():
     pair = SymmetricPair(g, theta, g.subspace([[0, 0, 1]]), name="scaled")
     assert pair.p.basis.entries[0] == (1, Fraction(1, 2), 0)
     return pair
+
+
+def sheared_sl2_pair():
+    """(sl2, so2) on the basis (e, 2f - 2e, h), theta(x) = -x^T: f has
+    coordinates (1, 1/2, 0), so the weight space of the root -2 has an
+    echelon row with denominator 2."""
+    e, f, h = build_classical("sl", 2).realization
+    g = algebra_from_matrices(["e", "2f-2e", "h"], [e, (f - e) * 2, h])
+    cols = [g.from_realization(-m.transpose()).coords for m in g.realization]
+    return SymmetricPair(g, RationalMatrix(list(zip(*cols))), g.subspace([[0, 0, 1]]), name="sheared")
 
 
 def all_fractions(coords):
@@ -446,9 +463,10 @@ def test_jacobi_verdict_on_tables_with_one_constant_changed(make):
 # -- the automorphism check
 
 
-@pytest.mark.parametrize("index", range(6))
+@pytest.mark.parametrize("index", range(7))
 def test_automorphism_verdict_on_criterion2_pairs(index):
-    pair = criterion2_pairs()[index]
+    # and on the scaled pair, whose involution has denominator 2
+    pair = (criterion2_pairs() + [scaled_sl2_pair()])[index]
     assert dense_automorphism_verdict(pair.g, pair.theta) is None
     assert sparse_automorphism_verdict(pair.g, pair.theta) is None
 
@@ -480,7 +498,9 @@ def unitriangular_conjugation(pair, rng):
     return conjugation_automorphism(pair, q, LinearSolver(q).inverse())
 
 
-@pytest.mark.parametrize("make", [lambda: square_of("sl2"), lambda: make_transpose_pair(3)])
+@pytest.mark.parametrize(
+    "make", [lambda: square_of("sl2"), lambda: make_transpose_pair(3), scaled_sl2_pair]
+)
 def test_automorphism_verdict_on_dense_conjugates(make):
     # phi theta phi^-1 is a dense involutive automorphism for an automorphism
     # phi; a sparse sum that dropped a term would reject it
@@ -526,13 +546,40 @@ def test_automorphism_verdict_on_random_maps():
         assert sparse_automorphism_verdict(g, theta) == dense_automorphism_verdict(g, theta)
 
 
+# -- the weight spaces of the restricted roots
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_weight_spaces_match_the_fraction_bracket(index):
+    # every Cartan basis element acts on each g_alpha by the scalar the
+    # root records, checked by the dense bracket; the scaled pair has ad
+    # matrices with denominators and roots ±2/3, the sheared one a weight
+    # space whose integer echelon row leads with 2
+    pair = (criterion2_pairs() + [scaled_sl2_pair(), sheared_sl2_pair()])[index]
+    data = pair.roots()
+    a_els = pair.cartan.basis_elements()
+    assert sum(space.dim for space in data.g_alpha.values()) + data.m.dim + pair.rank == pair.g.dim
+    for alpha, space in data.g_alpha.items():
+        for v in space.basis_elements():
+            for a, value in zip(a_els, alpha):
+                assert dense_bracket(pair.g, a, v).coords == tuple(value * c for c in v.coords)
+    if pair.name == "scaled":
+        assert data.roots == [(Fraction(-2, 3),), (Fraction(2, 3),)]
+    if pair.name == "sheared":
+        assert data.roots == [(-2,), (2,)]
+        assert data.g_alpha[(-2,)].basis.ints == ((2, 1, 0),)
+
+
 # -- the realization check
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: build_classical("sl", 3), lambda: build_classical("sp", 4), build_g2, scaled_sl2]
+    "make",
+    [lambda: build_classical("sl", 3), lambda: build_classical("sp", 4), build_g2, scaled_sl2, halved_sl2],
 )
 def test_realization_verdict_on_criterion2_algebras(make):
+    # the scaled and halved sl2 have table and realization denominators
+    # L = F = 6 and L = 1, F = 2
     g = make()
     assert dense_realization_verdict(g, g.realization) is None
     assert sparse_realization_verdict(g, g.realization) is None

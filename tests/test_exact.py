@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reductions.errors import DomainError, PrecisionError, RankDeficiencyError
+from reductions.errors import DomainError, InternalCheckError, PrecisionError, RankDeficiencyError
 from reductions.exact import (
     ColumnReduction,
     LaurentSeries,
@@ -17,6 +17,7 @@ from reductions.exact import (
     _polynomial_columns,
     combine_rows,
     coordinates_in_row_space,
+    eigenspaces,
     integer_roots,
     is_squarefree,
     min_poly,
@@ -26,6 +27,7 @@ from reductions.exact import (
     rref,
     series_valuation,
     solve,
+    squarefree_part,
     valuation_adapted_reduce,
 )
 
@@ -138,6 +140,19 @@ def test_integer_roots():
 
 
 # -- rational matrices
+
+
+def test_eigenspaces_compare_the_two_semisimplicity_verdicts(monkeypatch):
+    # a Jordan block: both verdicts say "not semisimple" and agree
+    block = RationalMatrix([[1, 1], [0, 1]])
+    assert [(lam, basis.rows) for lam, basis in eigenspaces(block)] == [(1, 1)]
+    # a minimal polynomial cut to its squarefree part claims semisimplicity,
+    # which the one eigenspace of dimension 1 contradicts
+    monkeypatch.setattr("reductions.exact.min_poly", lambda m: squarefree_part(min_poly(m)))
+    spaces = eigenspaces(block)
+    assert next(spaces)[0] == 1
+    with pytest.raises(InternalCheckError, match="disagree on semisimplicity"):
+        next(spaces)
 
 
 def test_rref_and_nullspace():
