@@ -154,7 +154,7 @@ def _sample_abelian_plane(pair, rng, kernels, allow_limits=True) -> Plane:
         p_alpha = pair.roots().p_alpha[sk.root]
         for _ in range(16):
             coords = [rng.randint(-2, 2) for _ in range(p_alpha.dim)]
-            vec = Element._trusted(pair.g, combine_rows(coords, p_alpha.basis))
+            vec = Element.from_integers(pair.g, *combine_rows(coords, p_alpha.basis))
             if vec.is_zero():
                 continue
             try:
@@ -174,7 +174,7 @@ def _moved_plane(pair, rng, plane) -> Plane:
     """The plane moved by a sampled automorphism of the fixed group."""
     auto = sample_k_automorphism(pair, rng)
     return plane_from_basis(
-        pair, [Element._trusted(pair.g, auto.apply(x.coords)) for x in plane.basis_elements()]
+        pair, [Element(pair.g, auto.apply(x.coords)) for x in plane.basis_elements()]
     )
 
 
@@ -432,10 +432,7 @@ def criterion_7_subvarieties(seed, samples=12):
             roundtrips = 0
             limit_members = 0
             fixes = 0
-            anchor_rows = [
-                sv.embedding.to_restricted(Element(pair.g, row))
-                for row in sk.kernel.basis.entries
-            ]
+            anchor_rows = [sv.embedding.to_restricted(x) for x in sk.kernel.basis_elements()]
             inner_cartan = cartan_plane(sv.centralizer_pair)
             for _ in range(samples):
                 curve = _sample_curve(sv.centralizer_pair, rng)

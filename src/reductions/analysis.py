@@ -404,7 +404,7 @@ def _jacobian_frame(pair: SymmetricPair):
     frame = getattr(pair, "_jacobian_frame", None)
     if frame is not None:
         return frame
-    p_els = [pair.from_p_coords(row) for row in RationalMatrix.identity(pair.p.dim).entries]
+    p_els = pair.p.basis_elements()
     directions = RationalMatrix([_square_factor_matrix(pair, e).transpose().vec() for e in p_els])
     gram = RationalMatrix([[pair.g.killing(a, b) for b in p_els] for a in p_els])
     try:

@@ -37,6 +37,27 @@ def _emit(report, as_text=False):
         print(json.dumps(_jsonify(report), indent=2, sort_keys=False))
 
 
+def _exact_number(value) -> Fraction:
+    """A JSON integer or a rational string such as "1/10" or "0.1", as a
+    Fraction.  A JSON float, NaN or infinity is refused: it would reach the
+    computation as a binary fraction, not as the number written."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise DomainError(f'{value!r} is not an exact number: give an integer or a string such as "1/10"')
+
+
+def _integer(value) -> int:
+    """An exact number (see ``_exact_number``) that is an integer; any
+    other is refused rather than truncated."""
+    q = _exact_number(value)
+    if q.denominator != 1:
+        raise DomainError(f"{value!r} is not an integer")
+    return q.numerator
+
+
 def _build_pair(args):
     from .pairs import make_transpose_pair, square_of
 
@@ -56,7 +77,7 @@ def _labelled_element(pair, spec):
     for label, value in spec.items():
         if label not in labels:
             raise DomainError(f"unknown basis label {label!r}")
-        coords[labels[label]] = Fraction(value)
+        coords[labels[label]] = _exact_number(value)
     return Element(pair.g, coords)
 
 
@@ -67,7 +88,7 @@ def _parse_vector(pair, spec):
         x = _labelled_element(pair, spec)
         pair.to_p_coords(x)  # membership check
         return x
-    return pair.from_p_coords([Fraction(v) for v in spec])
+    return pair.from_p_coords([_exact_number(v) for v in spec])
 
 
 def _parse_plane(pair, text):
@@ -86,12 +107,12 @@ def _parse_curve(pair, text):
     for move in json.loads(text):
         kind = move["kind"]
         if kind == "torus":
-            moves.append(("torus", tuple(int(w) for w in move["weights"])))
+            moves.append(("torus", tuple(_integer(w) for w in move["weights"])))
             continue
         gen = move["generator"]
         if isinstance(gen, str):
             gen = {gen: 1}
-        moves.append((kind, _labelled_element(pair, gen), int(move["exponent"])))
+        moves.append((kind, _labelled_element(pair, gen), _integer(move["exponent"])))
     return GroupCurve(pair, moves)
 
 
@@ -136,9 +157,9 @@ def cmd_degenerate(args):
     )
 
     if args.toy:
-        weights = json.loads(args.toy)
+        weights = [_integer(w) for w in json.loads(args.toy)]
         curve = MonomialCurve(weights)
-        basis = RationalMatrix([[Fraction(v) for v in row] for row in json.loads(args.plane)])
+        basis = RationalMatrix([[_exact_number(v) for v in row] for row in json.loads(args.plane)])
         flag = magnitude_flag(curve, basis)
         comp = limit_computation(curve, basis)
         report = {

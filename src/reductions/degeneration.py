@@ -46,6 +46,7 @@ from .exact import (
     RationalMatrix,
     SeriesMatrix,
     _prepared,
+    _stacked,
     _sum_of_scaled,
     combine_rows,
     coordinates_in_row_space,
@@ -231,7 +232,8 @@ def _ad_powers(g, y: Element, basis, pivots):
     else:
         raise DomainError("curve generator does not act nilpotently")
     # row j: [y, b_j] for basis row b_j, and its coordinates at the pivots
-    images = RationalMatrix([g.bracket(y, Element._trusted(g, row)).coords for row in basis.entries])
+    rows = [Element.from_integers(g, basis.den, row) for row in basis.ints]
+    images = RationalMatrix([g.bracket(y, b).coords for b in rows])
     coords = RationalMatrix.from_integers(
         images.den, [[row[c] for c in pivots] for row in images.ints], len(pivots)
     )
@@ -336,8 +338,8 @@ def _conjugation_on_coords(g, q: SeriesMatrix, q_inv: SeriesMatrix, basis, pivot
     solver = g._realization_solver
     transform = [[(k, c) for k, c in enumerate(row) if c] for row in solver.transform.entries]
     cols = []
-    for row in basis.entries:
-        img = q.mul_rational(g.realize(Element._trusted(g, row))) * q_inv
+    for row in basis.ints:
+        img = q.mul_rational(g.realize(Element.from_integers(g, basis.den, row))) * q_inv
         rhs = [_prepared(e) for r in img.entries for e in r]
         y = [_sum_of_scaled([(rhs[k], c) for k, c in r]) for r in transform]
         if not all(s.is_zero() for s in y[solver.rank :]):
@@ -475,12 +477,13 @@ def _acting_matrix(curve) -> SeriesMatrix:
 def magnitude_order(curve, x) -> int:
     """min coordinate valuation of the moving vector; x != 0 required.  An
     Element moves in g coordinates, a plain vector in those planes move in."""
-    coords = x.coords if isinstance(x, Element) else tuple(x)
-    if all(c == 0 for c in coords):
+    # an Element's integer coordinates are den times its coordinates, which
+    # moves no valuation
+    vec = x.ints if isinstance(x, Element) else tuple(x)
+    if not any(vec):
         raise DomainError("the zero vector has no magnitude order")
-    if isinstance(x, Element):
-        return min_valuation(curve.matrices()[0].apply(coords))
-    return min_valuation(_acting_matrix(curve).apply(coords))
+    matrix = curve.matrices()[0] if isinstance(x, Element) else _acting_matrix(curve)
+    return min_valuation(matrix.apply(vec))
 
 
 def _moving_matrix(curve, basis_rows: RationalMatrix) -> SeriesMatrix:
@@ -531,17 +534,13 @@ def magnitude_flag(curve, plane) -> MagnitudeFlag:
 
 
 def _extend_basis(smaller: RationalMatrix, larger: RationalMatrix):
-    """Rows of larger completing a basis of smaller to one of larger."""
-    rows = list(smaller.entries)
-    extra = []
-    have = len(rows)
-    for row in larger.entries:
-        candidate = rows + [list(row)]
-        if len(rref(RationalMatrix(candidate))[1]) > have:
-            rows = candidate
-            extra.append(tuple(row))
-            have += 1
-    if have != larger.rows:
+    """Rows of larger completing a basis of smaller, which has full rank, to
+    one of larger: the rows of larger independent of the rows before them
+    in the stack of smaller over larger, read off the pivot columns of one
+    elimination of its transpose."""
+    pivots = rref(_stacked(smaller, larger).transpose())[1]
+    extra = [larger.row(p - smaller.rows) for p in pivots if p >= smaller.rows]
+    if smaller.rows + len(extra) != larger.rows:
         raise InternalCheckError("basis extension failed")
     return extra
 
@@ -822,6 +821,7 @@ def rigidity_check(curve: GroupCurve, plane: Plane) -> RigidityReport:
         raise InternalCheckError("limit of a CJ-closed plane is not CJ-closed")
 
     cmat = curve.p_matrix()
+    basis_t = basis.transpose()  # takes a combination of the basis rows to its vector
     entries = []
     witness_pairs = []
 
@@ -829,7 +829,7 @@ def rigidity_check(curve: GroupCurve, plane: Plane) -> RigidityReport:
         # full bookkeeping through a basis split into pure types
         split = [[pair.to_p_coords(e) for e in span.basis_elements()] for span in (s_span, n_span)]
         for combo, om in _adapted_basis(comp.flag, split):
-            vec = combine_rows(combo, basis)
+            vec = basis_t.apply(combo)
             source = pair.from_p_coords(vec)
             moved = cmat.apply(vec)
             target = pair.from_p_coords([s.coeff_at(om) for s in moved])
@@ -857,8 +857,7 @@ def rigidity_check(curve: GroupCurve, plane: Plane) -> RigidityReport:
     elif limit_s_span.dim:
         # obstructed instance: certify the semisimple directions one by one
         rows = _order_rows(comp.moving)
-        for row in limit_s_span.basis.entries:
-            target = Element(pair.g, row)
+        for target in limit_s_span.basis_elements():
             source = _zero_order_witness(pair, rows, basis, target)
             witness_pairs.append((source, target))
             entries.append((source, 0, target, "semisimple->semisimple"))
@@ -902,14 +901,14 @@ def _zero_order_witness(pair, rows: RationalMatrix, basis, target: Element) -> E
             "no source of magnitude order zero converges to a "
             "semisimple limit direction; this would falsify rigidity"
         )
-    base = combine_rows(combo, basis)
+    base = basis.transpose().apply(combo)
     source = pair.from_p_coords(base)
     if classify_element(source) == "semisimple":
         return source
-    kernel = nullspace(rows)
+    steps = (nullspace(rows) * basis).entries
     for scale in range(1, 8):
-        for krow in kernel.entries:
-            vec = [a + scale * b for a, b in zip(base, combine_rows(krow, basis))]
+        for step in steps:
+            vec = [a + scale * b for a, b in zip(base, step)]
             cand = pair.from_p_coords(vec)
             if classify_element(cand) == "semisimple":
                 return cand
@@ -990,7 +989,7 @@ def _sample_degeneration_curve(pair, rng):
 
 def _random_k_element(pair, rng):
     coords = [rng.randint(-2, 2) for _ in range(pair.k.dim)]
-    vec = Element._trusted(pair.g, combine_rows(coords, pair.k.basis))
+    vec = Element.from_integers(pair.g, *combine_rows(coords, pair.k.basis))
     return None if vec.is_zero() else vec
 
 
@@ -1057,7 +1056,7 @@ def _sample_class_point(pair, x: Element, rng) -> Element:
             cand = x
         else:
             coeffs = [rng.randint(-3, 3) for _ in range(dc.dim)]
-            cand = Element._trusted(g, combine_rows(coeffs, dc.basis)) + n
+            cand = Element.from_integers(g, *combine_rows(coeffs, dc.basis)) + n
         if rng.random() < 0.5:
             auto = RationalMatrix.identity(g.dim)
         else:

@@ -21,19 +21,21 @@ terms to keep, as an explicit ``order``; reading past a bound raises
 curves are exact Laurent-polynomial matrices and ``valuation_adapted_reduce``
 eliminates fraction-free, so its limits need no truncation order.
 
-Invariant: matrix entries, series coefficients and (in ``liealg``) element
-coordinates are always ``Fraction``, never ``int``, so that ``1 / x`` stays
-exact.  The public constructors coerce every value with ``Fraction`` and
-check shapes.  The ``_trusted`` constructors of series and elements
-(``SeriesMatrix._trusted``, ``LaurentSeries._trusted`` and
-``Element._trusted``) take values that are already ``Fraction`` and skip the
-coercion and the ragged-shape check; ``LaurentSeries._trusted`` still trims
-and shifts exactly as the public constructor does.
+Invariant: every value a caller reads (a series coefficient, a matrix
+entry, an element coordinate in ``liealg``) is a ``Fraction``, never an
+``int``, so that ``1 / x`` stays exact.  The public constructors coerce
+every value with ``Fraction`` and check shapes; those of matrices and
+elements coerce with ``as_rational``, which refuses a float.
+``SeriesMatrix._trusted`` and ``LaurentSeries._trusted`` take coefficients
+that are already ``Fraction`` and skip the coercion and the ragged-shape
+check; ``LaurentSeries._trusted`` still trims and shifts exactly as the
+public constructor does.
 
 A ``RationalMatrix`` has one stored form: ``den``, the least common
 denominator of its entries, and ``ints``, the integer rows den·m.  The pair
 is canonical, so equality and hashing compare integers, and ``entries``
-(``Fraction`` rows) is built on first read.  Every operation on matrices
+(``Fraction`` rows) is built on first read; ``liealg.Element`` stores its
+coordinates the same way.  Every operation on matrices
 (products, sums, ``apply``, ``det``, elimination, kernels, minimal
 polynomials, eigenspaces) runs on the integer rows and returns a matrix
 through ``RationalMatrix.from_integers``, which reduces a denominator and
@@ -47,9 +49,10 @@ polynomial, found by integer Horner and synthetic division
 (``integer_roots``), and one kernel per root, yielded lazily.
 Every rational linear combination of matrix rows, sum c_r·row_r, runs
 through ``combine_rows``, one integer combination over a common
-denominator; membership in a row space given in reduced echelon form reads
-the pivot coordinates and checks them with one such combination
-(``reduced_projection``).
+denominator, returned as that denominator and the integers; membership of
+an integer vector over a denominator in a row space given in reduced
+echelon form reads the pivot coordinates and checks them with one such
+combination (``reduced_projection``).
 
 Every linear combination of series (sums, products, matrix products,
 mat-vecs, minors, elimination updates) runs through one kernel:
@@ -86,6 +89,14 @@ _ONE = Fraction(1)
 def rat(p, q=1) -> Fraction:
     """Rational constructor shorthand."""
     return Fraction(p, q)
+
+
+def as_rational(x) -> Fraction:
+    """x as a Fraction.  A float is refused: its binary expansion is not the
+    decimal it was written as, so 0.1 would become 3602879701896397/2^55."""
+    if isinstance(x, float):
+        raise DomainError(f"{x!r} is a float; pass an int, a Fraction or a rational string")
+    return Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +338,7 @@ class RationalMatrix:
 
     def __init__(self, entries):
         rows = tuple(
-            tuple([x if type(x) is Fraction else Fraction(x) for x in row]) for row in entries
+            tuple([x if type(x) is Fraction else as_rational(x) for x in row]) for row in entries
         )
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0
@@ -532,10 +543,11 @@ def _fractions(ints, den):
     return tuple([Fraction(v, den) if v else _ZERO for v in ints])
 
 
-def combine_rows(coeffs, matrix: RationalMatrix) -> tuple[Fraction, ...]:
-    """sum c_r·row_r over the rows of ``matrix``, as a tuple of Fractions;
-    ``coeffs`` are ints or Fractions, one per row, and only the rows with a
-    nonzero coefficient are read."""
+def combine_rows(coeffs, matrix: RationalMatrix) -> tuple[int, list[int]]:
+    """sum c_r·row_r over the rows of ``matrix`` as (d, ints), the integer
+    vector ints over the denominator d, not reduced; ``coeffs`` are ints or
+    Fractions, one per row, and only the rows with a nonzero coefficient
+    are read."""
     if len(coeffs) != matrix.rows:
         raise DomainError("shape mismatch")
     den, ints = _integer_row(coeffs)
@@ -543,18 +555,18 @@ def combine_rows(coeffs, matrix: RationalMatrix) -> tuple[Fraction, ...]:
     for c, row in zip(ints, matrix.ints):
         if c:
             acc = [a + c * e for a, e in zip(acc, row)]
-    return _fractions(acc, den * matrix.den)
+    return den * matrix.den, acc
 
 
-def reduced_projection(basis: RationalMatrix, vector):
-    """(the entries of ``vector`` at the pivot columns of ``basis``, vector
-    less the combination of the basis rows they weight), for ``basis`` in
-    reduced echelon form with no zero row.  The remainder is zero exactly
-    when ``vector`` lies in the row space, and the entries are then its
-    coordinates over the rows."""
-    if len(vector) != basis.cols:
+def reduced_projection(basis: RationalMatrix, ints, den=1):
+    """(the entries of the vector v = ints / den at the pivot columns of
+    ``basis``, v less the combination of the basis rows they weight), for
+    integers ``ints`` and ``basis`` in reduced echelon form with no zero
+    row; both parts are Fractions.  The remainder is zero exactly when v
+    lies in the row space, and the entries are then its coordinates over
+    the rows."""
+    if len(ints) != basis.cols:
         raise DomainError("shape mismatch")
-    den, ints = _integer_row(vector)
     rest = [basis.den * v for v in ints]
     pivots = []
     for row in basis.ints:
@@ -564,7 +576,7 @@ def reduced_projection(basis: RationalMatrix, vector):
         f = ints[c]
         if f:
             rest = [a - f * e for a, e in zip(rest, row)]
-    return tuple(Fraction(vector[c]) for c in pivots), _fractions(rest, den * basis.den)
+    return _fractions([ints[c] for c in pivots], den), _fractions(rest, den * basis.den)
 
 
 def _reduced_rows(rows, cols):

@@ -13,13 +13,16 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DomainError, InternalCheckError
 from .exact import (
     LinearSolver,
     Polynomial,
     RationalMatrix,
+    _fractions,
+    _integer_row,
+    as_rational,
     eigenspaces,
     is_squarefree,
     intersect_row_spaces,
@@ -48,12 +51,12 @@ class LieAlgebra:
     table is copied once as integer rows of both orders,
     (i, j) -> ((k, L·c), ...) and (j, i) -> the negated entries, with L the
     least common denominator of all structure constants; ``realize``
-    combines the integer rows of the flattened realization matrices.  An
-    argument is scaled once to (den, integer nonzeros), the products
-    accumulate as integers, and each nonzero output coordinate is one
-    ``Fraction`` over the product of the denominators; matrices come back
-    in their integer form.  The Killing form is one integer bilinear form
-    over the integer Gram matrix.
+    combines the integer rows of the flattened realization matrices.  They
+    read the stored integers of their arguments (``Element.ints`` over
+    ``Element.den``), accumulate as integers and return an element or a
+    matrix over the product of the denominators, with no ``Fraction`` made.
+    The Killing form is one integer bilinear form over the integer Gram
+    matrix.
     """
 
     def __init__(self, labels, table, realization=None, cartan_indices=None, check=True):
@@ -146,19 +149,18 @@ class LieAlgebra:
         return Element(self, coords)
 
     def basis_element(self, i) -> "Element":
-        coords = [_ZERO] * self.dim
-        coords[i] = _ONE
-        return Element._trusted(self, tuple(coords))
+        ints = [0] * self.dim
+        ints[i] = 1
+        return Element.from_integers(self, 1, ints)
 
     def zero(self) -> "Element":
-        return Element._trusted(self, (_ZERO,) * self.dim)
+        return Element.from_integers(self, 1, (0,) * self.dim)
 
     def bracket(self, x: "Element", y: "Element") -> "Element":
         if x.parent is not self or y.parent is not self:
             raise DomainError("bracket of elements with different parents")
-        (dx, xs), (dy, ys) = _scaled_nonzeros(x.coords), _scaled_nonzeros(y.coords)
-        return Element._trusted(
-            self, _coordinates(self._integer_bracket(xs, ys), dx * dy * self._int_den)
+        return Element.from_integers(
+            self, x.den * y.den * self._int_den, self._integer_bracket(x.nonzeros(), y.nonzeros())
         )
 
     def _integer_bracket(self, xs, ys) -> list[int]:
@@ -178,9 +180,9 @@ class LieAlgebra:
 
     def ad(self, x: "Element") -> RationalMatrix:
         """Matrix of ad(x) on the algebra's own basis (columns = images)."""
-        dx, xs = _scaled_nonzeros(x.coords)
+        xs = x.nonzeros()
         cols = [self._integer_bracket(xs, ((j, 1),)) for j in range(self.dim)]
-        return RationalMatrix.from_integers(dx * self._int_den, list(zip(*cols)), self.dim)
+        return RationalMatrix.from_integers(x.den * self._int_den, list(zip(*cols)), self.dim)
 
     def ad_basis(self, i) -> RationalMatrix:
         if i not in self._ad_cache:
@@ -208,13 +210,13 @@ class LieAlgebra:
         if x.parent is not self or y.parent is not self:
             raise DomainError("Killing form of elements with different parents")
         km = self.killing_matrix()
-        (dx, xs), (dy, ys) = _scaled_nonzeros(x.coords), _scaled_nonzeros(y.coords)
+        ys = y.nonzeros()
         rows = km.ints
         acc = 0
-        for i, a in xs:
+        for i, a in x.nonzeros():
             row = rows[i]
             acc += a * sum([row[j] * b for j, b in ys])
-        return Fraction(acc, dx * dy * km.den)
+        return Fraction(acc, x.den * y.den * km.den)
 
     # -- realization helpers
 
@@ -231,15 +233,14 @@ class LieAlgebra:
             raise DomainError("algebra has no matrix realization")
         size = self.realization[0].rows
         flat = self._flat_realization()
-        dx, xs = _scaled_nonzeros(x.coords)
         positions = range(size * size)
         acc = [0] * (size * size)
-        for i, a in xs:
+        for i, a in x.nonzeros():
             row = flat.ints[i]
             for pos in itertools.compress(positions, row):  # its nonzeros
                 acc[pos] += a * row[pos]
         return RationalMatrix.from_integers(
-            dx * flat.den, [acc[r:r + size] for r in range(0, size * size, size)], size
+            x.den * flat.den, [acc[r:r + size] for r in range(0, size * size, size)], size
         )
 
     def from_realization(self, mat: RationalMatrix) -> "Element":
@@ -249,7 +250,7 @@ class LieAlgebra:
         coords = self._realization_solver.solve([a for row in mat.ints for a in row], mat.den)
         if coords is None:
             raise InternalCheckError("matrix does not lie in the realized algebra")
-        return Element._trusted(self, coords)
+        return Element(self, coords)
 
     def subspace(self, vectors) -> "Subspace":
         rows = [v.coords if isinstance(v, Element) else v for v in vectors]
@@ -299,77 +300,94 @@ def _integer_product(a, b, size) -> list[int]:
     return out
 
 
-def _scaled_nonzeros(coords):
-    """(d, [(i, d·c_i) for every nonzero c_i]), d the least common
-    denominator of the nonzero coordinates."""
-    nz = [(i, c) for i, c in enumerate(coords) if c]
-    den = lcm(*[c.denominator for _, c in nz])
-    if den == 1:
-        return 1, [(i, c.numerator) for i, c in nz]
-    return den, [(i, c.numerator * (den // c.denominator)) for i, c in nz]
-
-
-def _coordinates(ints, den) -> tuple:
-    """The tuple of Fractions v / den for v in ints, zeros as Fraction(0)."""
-    return tuple([Fraction(v, den) if v else _ZERO for v in ints])
-
-
 class Element:
-    """Vector of coordinates over its parent algebra's basis.
+    """Vector of coordinates over its parent algebra's basis, stored as
+    integers over one denominator.
 
-    The public constructor coerces the coordinates with ``Fraction`` and
-    checks their number; ``_trusted`` takes a tuple of ``parent.dim``
-    Fractions as it is, for the results of the operations below.
+    ``den`` is the least common denominator of the coordinates and ``ints``
+    the tuple of integers den·coords.  The pair is canonical (den > 0 and
+    gcd(den, *ints) == 1), so equality and hashing compare integers.
+    ``coords``, the tuple of ``Fraction`` coordinates, is built on its first
+    read and kept.  The public constructor coerces the coordinates (a float
+    is refused) and checks their number; ``from_integers`` takes a
+    denominator and integers and brings them to the canonical pair.
     """
 
-    __slots__ = ("parent", "coords")
+    __slots__ = ("parent", "den", "ints", "coords")
 
     def __init__(self, parent: LieAlgebra, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple([c if type(c) is Fraction else as_rational(c) for c in coords])
         if len(coords) != parent.dim:
             raise DomainError("coordinate length does not match algebra dimension")
         self.parent = parent
+        self.den, ints = _integer_row(coords)  # coprime, as the coordinates are in lowest terms
+        self.ints = tuple(ints)
         self.coords = coords
 
     @classmethod
-    def _trusted(cls, parent: LieAlgebra, coords: tuple) -> "Element":
+    def from_integers(cls, parent: LieAlgebra, den, ints) -> "Element":
+        """The element with coordinates ``ints`` / ``den``, for a nonzero
+        integer ``den`` and ``parent.dim`` integers."""
+        if not den:
+            raise DomainError("zero denominator")
+        if len(ints) != parent.dim:
+            raise DomainError("coordinate length does not match algebra dimension")
+        g = gcd(den, *ints) if den != 1 else 1
+        if den < 0:
+            g = -g
         x = object.__new__(cls)
         x.parent = parent
-        x.coords = coords
+        x.den = den // g
+        x.ints = tuple(ints) if g == 1 else tuple([a // g for a in ints])
         return x
+
+    def __getattr__(self, name):
+        # ``coords`` is the only slot left unset, by ``from_integers``
+        if name != "coords":
+            raise AttributeError(name)
+        self.coords = _fractions(self.ints, self.den)
+        return self.coords
+
+    def nonzeros(self):
+        """The pairs (i, ints[i]) for the nonzero integer coordinates."""
+        return [(i, a) for i, a in enumerate(self.ints) if a]
 
     def __add__(self, other):
         if other.parent is not self.parent:
             raise DomainError("mixed parents")
-        return Element._trusted(self.parent, tuple([a + b for a, b in zip(self.coords, other.coords)]))
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return Element.from_integers(
+            self.parent, den, [fa * a + fb * b for a, b in zip(self.ints, other.ints)]
+        )
 
     def __sub__(self, other):
-        if other.parent is not self.parent:
-            raise DomainError("mixed parents")
-        return Element._trusted(self.parent, tuple([a - b for a, b in zip(self.coords, other.coords)]))
+        return self + (-other)
 
     def __neg__(self):
-        return Element._trusted(self.parent, tuple([-a for a in self.coords]))
+        return Element.from_integers(self.parent, self.den, [-a for a in self.ints])
 
     def __mul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            return Element._trusted(self.parent, tuple([a * scalar for a in self.coords]))
-        return Element(self.parent, [a * scalar for a in self.coords])
+        s = scalar if isinstance(scalar, (int, Fraction)) else as_rational(scalar)
+        return Element.from_integers(
+            self.parent, self.den * s.denominator, [s.numerator * a for a in self.ints]
+        )
 
     __rmul__ = __mul__
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.ints)
 
     def __eq__(self, other):
         return (
             isinstance(other, Element)
             and other.parent is self.parent
-            and other.coords == self.coords
+            and other.den == self.den
+            and other.ints == self.ints
         )
 
     def __hash__(self):
-        return hash((id(self.parent), self.coords))
+        return hash((id(self.parent), self.den, self.ints))
 
     def __repr__(self):
         terms = [
@@ -393,23 +411,28 @@ class Subspace:
         return self.basis.rows
 
     def basis_elements(self):
-        return [Element._trusted(self.parent, row) for row in self.basis.entries]
+        return [Element.from_integers(self.parent, self.basis.den, row) for row in self.basis.ints]
 
     def contains(self, x) -> bool:
         return self.coordinates_of(x) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis.entries)
+        return all(self.contains(x) for x in other.basis_elements())
 
     def coordinates_of(self, x):
         """Coordinates of x over the basis rows, or None when x lies outside."""
-        at, rest = reduced_projection(self.basis, x.coords if isinstance(x, Element) else x)
+        at, rest = self._projection(x)
         return None if any(rest) else at
 
     def residual(self, x):
         """x less the combination of the basis rows at its pivot entries:
         zero exactly when x lies inside."""
-        return reduced_projection(self.basis, x.coords if isinstance(x, Element) else x)[1]
+        return self._projection(x)[1]
+
+    def _projection(self, x):
+        """``reduced_projection`` of x, an Element or a coordinate vector."""
+        den, ints = (x.den, x.ints) if isinstance(x, Element) else _integer_row(x)
+        return reduced_projection(self.basis, ints, den)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         return Subspace(self.parent, intersect_row_spaces(self.basis, other.basis))
@@ -812,7 +835,7 @@ def centralizer_in(x: Element, v: Subspace) -> Subspace:
     # the kernel K of the brackets of x with the integer basis rows gives the
     # centralizer as K·basis, which is in reduced echelon form as K and the
     # basis are
-    xs = _scaled_nonzeros(x.coords)[1]
+    xs = x.nonzeros()
     images = [
         g._integer_bracket(xs, [(i, e) for i, e in enumerate(row) if e]) for row in v.basis.ints
     ]

@@ -111,7 +111,7 @@ class SymmetricPair:
     def from_p_coords(self, coords) -> Element:
         if len(coords) != self.p.dim:
             raise DomainError(f"an element of p needs {self.p.dim} coordinates, not {len(coords)}")
-        return Element._trusted(self.g, combine_rows(coords, self.p.basis))
+        return Element.from_integers(self.g, *combine_rows(coords, self.p.basis))
 
     def c_p(self, x: Element) -> Subspace:
         return centralizer_in(x, self.p)
@@ -148,13 +148,7 @@ def make_cartesian_square(g: LieAlgebra, name="") -> SymmetricPair:
         col[(j + d) % (2 * d)] = _ONE
         rows.append(col)
     theta = RationalMatrix(rows).transpose()
-    cartan_rows = []
-    for i in g.cartan_indices:
-        vec = [_ZERO] * (2 * d)
-        vec[i] = _ONE
-        vec[d + i] = -_ONE
-        cartan_rows.append(vec)
-    cartan = gg.subspace(cartan_rows)
+    cartan = gg.subspace([gg.basis_element(i) - gg.basis_element(d + i) for i in g.cartan_indices])
     return SymmetricPair(gg, theta, cartan, name=name or "square")
 
 
@@ -164,10 +158,8 @@ def make_transpose_pair(n: int) -> SymmetricPair:
     if n < 3:
         raise DomainError("transpose pair needs n >= 3")
     g = build_classical("sl", n)
-    cols = []
-    for m in g.realization:
-        cols.append(g.from_realization(-m.transpose()).coords)
-    theta = RationalMatrix(list(zip(*cols)))
+    cols = [g.from_realization(-m.transpose()).coords for m in g.realization]
+    theta = RationalMatrix(cols).transpose()
     cartan = g.subspace([g.basis_element(i) for i in g.cartan_indices])
     return SymmetricPair(g, theta, cartan, name=f"transpose{n}")
 
@@ -278,7 +270,7 @@ def restricted_roots(pair: SymmetricPair) -> RestrictedRootData:
         actions.append((ad.den, [[(j, v) for j, v in enumerate(row) if v] for row in ad.ints]))
     last = None
     for coeffs in _generic_coefficient_families(len(actions)):
-        astar = Element._trusted(g, combine_rows(coeffs, pair.cartan.basis))
+        astar = Element.from_integers(g, *combine_rows(coeffs, pair.cartan.basis))
         try:
             return _weight_spaces(pair, actions, coeffs, astar)
         except _NotJointError as exc:
@@ -387,8 +379,7 @@ def singular_kernels(pair: SymmetricPair):
     for alpha in data.positive:
         # kernel of the functional alpha on a, in ambient coordinates
         ker = nullspace(RationalMatrix([list(alpha)]))
-        rows = [combine_rows(combo, pair.cartan.basis) for combo in ker.entries]
-        z = pair.g.subspace(rows) if rows else Subspace(pair.g, RationalMatrix.zero(0, pair.g.dim))
+        z = Subspace(pair.g, ker * pair.cartan.basis)
         cpz = centralizer_of_subspace(z, pair.p)
         expected = pair.rank + data.p_alpha[alpha].dim
         if cpz.dim != expected:
@@ -422,16 +413,8 @@ class DerivedPairMaps:
         ads = [g.ad_basis(i) for i in range(g.dim)]
         stacked = RationalMatrix([row for m in ads for row in m.entries])
         center = Subspace(g, nullspace(stacked))
-        brackets = []
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                b = g._basis_bracket(i, j)
-                if b:
-                    vec = [_ZERO] * g.dim
-                    for k, c in b.items():
-                        vec[k] = c
-                    brackets.append(vec)
-        derived = g.subspace(brackets)
+        basis = [g.basis_element(i) for i in range(g.dim)]
+        derived = g.subspace([g.bracket(x, y) for x, y in itertools.combinations(basis, 2)])
         self.pair = pair
         self.p_center = center.intersect(pair.p)
         self.p_derived = derived.intersect(pair.p)
@@ -463,7 +446,7 @@ def restrict_pair(pair: SymmetricPair, sub: Subspace, name="") -> tuple[Symmetri
     """
     g = pair.g
     basis = sub.basis
-    mats = [g.realize(Element._trusted(g, row)) for row in basis.entries]
+    mats = [g.realize(x) for x in sub.basis_elements()]
     labels = [f"s{i}" for i in range(basis.rows)]
     sub_alg = algebra_from_matrices(labels, mats, check=True)
     # involution in subalgebra coordinates
@@ -520,11 +503,8 @@ def conjugation_automorphism(pair: SymmetricPair, q: RationalMatrix, q_inv: Rati
     pulled back through the realization, so q must normalize the algebra.
     """
     g = pair.g
-    cols = []
-    for i in range(g.dim):
-        img = q * g.realization[i] * q_inv
-        cols.append(g.from_realization(img).coords)
-    return RationalMatrix(list(zip(*cols)))
+    cols = [g.from_realization(q * m * q_inv).coords for m in g.realization]
+    return RationalMatrix(cols).transpose()
 
 
 def cayley_orthogonal(n: int, antisym: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix]:
@@ -572,7 +552,7 @@ def _k_nilpotent_bank(pair: SymmetricPair):
     m = centralizer_of_subspace(pair.cartan, pair.k)
     if m.dim > 0:
         for coeffs in _generic_coefficient_families(m.dim):
-            ad = g.ad(Element._trusted(g, combine_rows(coeffs, m.basis)))
+            ad = g.ad(Element.from_integers(g, *combine_rows(coeffs, m.basis)))
             try:
                 spaces = eigenspaces(ad)
             except IrrationalSpectrumError:
@@ -611,7 +591,7 @@ def k_nilpotent_elements(pair: SymmetricPair, rng, count=1, tries=40):
             break
         space = rng.choice(bank)
         coeffs = [rng.randint(-2, 2) for _ in range(space.dim)]
-        vec = Element._trusted(pair.g, combine_rows(coeffs, space.basis))
+        vec = Element.from_integers(pair.g, *combine_rows(coeffs, space.basis))
         if not vec.is_zero():
             out.append(vec)
     return out
@@ -626,7 +606,8 @@ class PairEmbedding:
         self.sub = sub
 
     def to_ambient(self, x: Element) -> Element:
-        return Element._trusted(self.ambient.g, combine_rows(x.coords, self.sub.basis))
+        den, ints = combine_rows(x.ints, self.sub.basis)
+        return Element.from_integers(self.ambient.g, x.den * den, ints)
 
     def to_ambient_subspace(self, s: Subspace) -> Subspace:
         return self.ambient.g.subspace([self.to_ambient(e) for e in s.basis_elements()])

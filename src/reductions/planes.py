@@ -15,12 +15,13 @@ from fractions import Fraction
 from .errors import DomainError, InternalCheckError
 from .exact import (
     RationalMatrix,
-    combine_rows,
+    _integer_row,
     maximal_minors,
     nullspace,
     rank,
     reduced_projection,
     row_space,
+    sum_row_spaces,
 )
 from .liealg import Element, Subspace, jordan_chevalley
 from .pairs import SymmetricPair, singular_kernels
@@ -59,7 +60,8 @@ class Plane:
             coords = self.pair.to_p_coords(x)
         except DomainError:
             return False
-        return not any(reduced_projection(self.matrix, coords)[1])
+        # a multiple of the coordinates lies in the row space when they do
+        return not any(reduced_projection(self.matrix, _integer_row(coords)[1])[1])
 
     def contains_subspace(self, sub: Subspace) -> bool:
         return all(self.contains(e) for e in sub.basis_elements())
@@ -182,11 +184,7 @@ def semisimple_nilpotent_split(u: Plane) -> tuple[Subspace, Subspace]:
     g = u.pair.g
     smat = semisimple_part_matrix(u)
     s_span = g.subspace([row for row in smat.entries if any(row)])
-    nil_rows = [
-        u.pair.from_p_coords(combine_rows(combo, u.matrix))
-        for combo in nullspace(smat.transpose()).entries
-    ]
-    n_span = g.subspace(nil_rows) if nil_rows else Subspace(g, RationalMatrix.zero(0, g.dim))
+    n_span = Subspace(g, nullspace(smat.transpose()) * u.matrix * u.pair.p.basis)
     return s_span, n_span
 
 
@@ -259,12 +257,9 @@ class GammaFamily:
     def sample(self, rng: random.Random) -> Plane:
         """A uniform-ish random member with small rational coordinates."""
         for _ in range(64):
-            rows = list(self.v.basis.entries)
-            extra = []
-            for _ in range(self.below):
-                coords = [rng.randint(-4, 4) for _ in range(self.w.dim)]
-                extra.append(combine_rows(coords, self.w.basis))
-            candidate = self.pair.g.subspace([*rows, *extra])
+            coeffs = [[rng.randint(-4, 4) for _ in range(self.w.dim)] for _ in range(self.below)]
+            extra = RationalMatrix.from_integers(1, coeffs, self.w.dim) * self.w.basis
+            candidate = Subspace(self.pair.g, sum_row_spaces(self.v.basis, extra))
             if candidate.dim == self.r:
                 return plane_from_subspace(self.pair, candidate)
         raise DomainError("sampling the family kept hitting degenerate draws")

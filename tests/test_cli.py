@@ -141,3 +141,38 @@ def test_degenerate_rejects_plane_rows_of_the_wrong_length(capsys, plane):
     ])
     assert code == 2
     assert "3 coordinates" in capsys.readouterr().err
+
+
+TOY = ["degenerate", "--toy"]
+EXP = '[{"kind": "exp", "generator": {"L.e12": 1, "R.e12": 1}, "exponent": %s}]'
+
+
+@pytest.mark.parametrize("argv", [
+    # floats, NaN and infinity are not exact numbers, nor is a bad string
+    TOY + ["[0,1]", "--plane", "[[0.1, 1]]"],
+    TOY + ["[0,1]", "--plane", '[["abc", 1]]'],
+    TOY + ["[0,1]", "--plane", "[[NaN, 1]]"],
+    TOY + ["[0,1]", "--plane", "[[1e400, 1]]"],
+    TOY + ["[0,1]", "--plane", '[["1/0", 1]]'],
+    # weights and exponents are integers, never cut to one
+    TOY + ["[0,1.5]", "--plane", "[[1, 1]]"],
+    ["degenerate", "--square", "sl2", "--curve", EXP % "-1.5"],
+    ["degenerate", "--square", "sl2", "--curve", EXP % '"-3/2"'],
+    ["degenerate", "--square", "sl2", "--curve", '[{"kind": "torus", "weights": [1.7, 0]}]'],
+    ["degenerate", "--square", "sl2", "--curve", EXP % "-1", "--plane", "[[0.5, 0, 0]]"],
+    ["degenerate", "--square", "sl2", "--curve", EXP % "-1", "--plane", '[{"L.h1": 0.5, "R.h1": -0.5}]'],
+])
+def test_inexact_numbers_are_usage_errors(capsys, argv):
+    assert main(argv) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_rational_strings_are_accepted(capsys):
+    code, out = run_cli(capsys, *TOY, "[0,1]", "--plane", '[["1/10", 1]]')
+    assert code == 0
+    assert json.loads(out)["weights"] == [0, 1]
+    code, _ = run_cli(capsys, *TOY, '[0,"1"]', "--plane", "[[1, 1]]")
+    assert code == 0
+    code, _ = run_cli(capsys, "degenerate", "--square", "sl2", "--curve", EXP % "-1",
+                      "--plane", '[{"L.h1": "1/2", "R.h1": "-1/2"}]')
+    assert code == 0

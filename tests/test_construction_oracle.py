@@ -16,6 +16,7 @@ have one structure constant changed.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -124,7 +125,7 @@ def dense_bracket(g, x, y):
                 continue
             for k, c in g._basis_bracket(i, j).items():
                 acc[k] += xi * yj * c
-    return Element._trusted(g, tuple(acc))
+    return Element(g, acc)
 
 
 def dense_realize(g, x):
@@ -424,6 +425,44 @@ def test_bracket_of_basis_elements_matches_the_table():
         for j in range(g.dim):
             got = g.bracket(g.basis_element(i), g.basis_element(j))
             assert got == dense_bracket(g, g.basis_element(i), g.basis_element(j))
+
+
+# -- the stored form of an element
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("index", range(7))
+def test_elements_are_stored_as_the_canonical_integer_pair(index, data):
+    # the criterion-2 algebras and the scaled sl2, over every path that
+    # builds an element: den > 0 and gcd(den, *ints) == 1, the public
+    # constructor on the Fraction coordinates gives the same element, and
+    # so does from_integers on the pair times k, for k of either sign
+    pair = (criterion2_pairs() + [scaled_sl2_pair()])[index]
+    g = pair.g
+    x, y = (
+        Element(g, [data.draw(st.one_of(st.just(0), entries)) for _ in range(g.dim)])
+        for _ in range(2)
+    )
+    c = data.draw(entries)
+    i = data.draw(st.integers(0, g.dim - 1))
+    coeffs = [data.draw(entries) for _ in range(pair.p.dim)]
+    made = [
+        x, x + y, x - y, -x, x * c, c * x, g.bracket(x, y), g.zero(), g.basis_element(i),
+        pair.from_p_coords(coeffs), *pair.p.basis_elements(), g.from_realization(g.realize(x)),
+    ]
+    k = data.draw(st.integers(2, 6))
+    for z in made:
+        assert type(z.den) is int and z.den > 0 and len(z.ints) == g.dim
+        assert all(type(a) is int for a in z.ints) and math.gcd(z.den, *z.ints) == 1
+        assert all_fractions(z.coords)
+        assert z.coords == tuple(Fraction(a, z.den) for a in z.ints)
+        same = Element(g, z.coords)
+        assert same == z and hash(same) == hash(z) and (same.den, same.ints) == (z.den, z.ints)
+        for m in (k, -k, -1):
+            scaled = Element.from_integers(g, m * z.den, [m * a for a in z.ints])
+            assert scaled == z and hash(scaled) == hash(z)
+            assert (scaled.den, scaled.ints) == (z.den, z.ints) and scaled.coords == z.coords
 
 
 # -- the Jacobi check

@@ -397,3 +397,11 @@ def test_vectors_of_the_wrong_length_are_rejected(length):
         with pytest.raises(DomainError):
             call()
     assert RationalMatrix.identity(3).apply((1, 2, 3)) == (1, 2, 3)
+
+
+def test_matrix_entries_refuse_floats():
+    # a float would be stored as its binary fraction, 0.1 as 3602879701896397/2^55
+    for bad in ([[0.1]], [[1, 0], [0, 2.0]]):
+        with pytest.raises(DomainError):
+            RationalMatrix(bad)
+    assert RationalMatrix([["1/10", 2]]) == RationalMatrix([[Fraction(1, 10), Fraction(2)]])

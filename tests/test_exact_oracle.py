@@ -22,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reductions.acceptance import _sample_curve
-from reductions.degeneration import GroupCurve, _restrict_to_p
-from reductions.errors import DomainError, PrecisionError, RankDeficiencyError
+from reductions.degeneration import GroupCurve, _extend_basis, _restrict_to_p
+from reductions.errors import DomainError, InternalCheckError, PrecisionError, RankDeficiencyError
 from reductions.exact import (
     DEFAULT_BUDGET,
     ColumnReduction,
@@ -595,18 +595,54 @@ def test_stored_form_operations_match_sympy_on_every_shape(data):
 def test_reduced_projection_is_membership_in_the_row_space(data):
     # the pivot coordinates and one combination decide membership as the
     # augmented elimination of coordinates_in_row_space does
+    # on integers over a denominator, reduced or not
     basis = row_space(data.draw(shaped_matrices(max_dim=4)))
     coeffs = [data.draw(entries) for _ in range(basis.rows)]
-    inside = combine_rows(coeffs, basis)
-    at, rest = reduced_projection(basis, inside)
+    den, ints = combine_rows(coeffs, basis)
+    inside = tuple(Fraction(a, den) for a in ints)
+    at, rest = reduced_projection(basis, ints, den)
     assert at == tuple(Fraction(x) for x in coeffs) and not any(rest)
     assert at == coordinates_in_row_space(basis, inside)
     v = [data.draw(entries) for _ in range(basis.cols)]
-    at, rest = reduced_projection(basis, v)
+    den = math.lcm(*[Fraction(x).denominator for x in v]) * data.draw(st.sampled_from([1, 2, -3]))
+    at, rest = reduced_projection(basis, [int(x * den) for x in v], den)
     expected = coordinates_in_row_space(basis, v)
     assert (None if any(rest) else at) == expected
     assert all(type(x) is Fraction for x in at + rest) and len(rest) == basis.cols
-    assert tuple(x + y for x, y in zip(combine_rows(at, basis), rest)) == tuple(map(Fraction, v))
+    den, ints = combine_rows(at, basis)
+    assert tuple(Fraction(x, den) + y for x, y in zip(ints, rest)) == tuple(map(Fraction, v))
+
+
+def _ref_extend_basis(smaller, larger):
+    """One rref per candidate row: the greedy loop ``_extend_basis`` replaced."""
+    rows = list(smaller.entries)
+    extra = []
+    have = len(rows)
+    for row in larger.entries:
+        candidate = rows + [list(row)]
+        if len(rref(RationalMatrix(candidate))[1]) > have:
+            rows = candidate
+            extra.append(tuple(row))
+            have += 1
+    if have != larger.rows:
+        raise InternalCheckError("basis extension failed")
+    return extra
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_extend_basis_matches_the_greedy_loop(data):
+    # nested row spaces as the magnitude flag and its intersections with a
+    # split give them: a level in canonical form and a canonical subspace of
+    # it, of any dimension down to zero
+    larger = row_space(data.draw(shaped_matrices(max_dim=5)))
+    k = data.draw(st.integers(0, larger.rows))
+    combos = data.draw(matrices(rows=k, cols=larger.rows)) if k else RationalMatrix.zero(0, larger.rows)
+    smaller = row_space(combos * larger)
+    got = _extend_basis(smaller, larger)
+    assert got == _ref_extend_basis(smaller, larger)
+    assert len(got) == larger.rows - smaller.rows
+    assert row_space(RationalMatrix([*smaller.entries, *got] or [[0] * larger.cols])) == larger
 
 
 # -- internal constructors return Fractions only
@@ -653,11 +689,11 @@ def test_combine_rows_matches_the_fraction_fold(data):
     empty = RationalMatrix.zero(0, m.cols)
     cases = [(coeffs, m), ([Fraction(c) for c in coeffs], m), ([0] * m.rows, m), ([], empty)]
     for cs, mat in cases:
-        got = combine_rows(cs, mat)
-        assert got == _ref_combine(cs, mat)
-        assert len(got) == mat.cols
-        assert all(type(x) is Fraction for x in got)
-    assert combine_rows([], empty) == (Fraction(0),) * m.cols
+        den, ints = combine_rows(cs, mat)
+        assert tuple(Fraction(a, den) for a in ints) == _ref_combine(cs, mat)
+        assert len(ints) == mat.cols and den > 0
+        assert all(type(x) is int for x in [den, *ints])
+    assert combine_rows([], empty)[1] == [0] * m.cols
 
 
 def test_trusted_elements_hold_fractions():

@@ -6,6 +6,7 @@ import pytest
 from reductions.errors import DomainError, InternalCheckError
 from reductions.exact import RationalMatrix, eigenspaces, is_squarefree, min_poly, rat
 from reductions.liealg import (
+    Element,
     build_classical,
     build_g2,
     build_product,
@@ -308,3 +309,28 @@ def test_subspace_coordinates_reject_vectors_of_the_wrong_length():
             sub.coordinates_of(coords)
         with pytest.raises(DomainError):
             sub.residual(coords)
+
+
+def test_floats_are_refused_and_exact_spellings_accepted():
+    # 0.1 is the binary fraction 3602879701896397/2^55, not 1/10
+    g = sl(2)
+    x = g.basis_element(0)
+    for make in (lambda: Element(g, [0.1, 0, 0]), lambda: x * 0.1, lambda: 0.1 * x, lambda: x * 1.0):
+        with pytest.raises(DomainError):
+            make()
+    tenth = x * Fraction(1, 10)
+    assert Element(g, ["1/10", 0, 0]) == tenth == Element(g, [Fraction(1, 10), 0, 0])
+    assert x * 3 == 3 * x == Element(g, [3, 0, 0])
+
+
+def test_from_integers_reduces_to_the_canonical_pair():
+    g = sl(2)
+    x = Element.from_integers(g, -6, [4, 0, -2])
+    assert (x.den, x.ints) == (3, (-2, 0, 1))
+    assert x.coords == (Fraction(-2, 3), 0, Fraction(1, 3))
+    assert x == Element(g, x.coords) and hash(x) == hash(Element(g, x.coords))
+    assert Element.from_integers(g, 5, [0, 0, 0]) == g.zero()
+    with pytest.raises(DomainError):
+        Element.from_integers(g, 0, [1, 0, 0])
+    with pytest.raises(DomainError):
+        Element.from_integers(g, 1, [1, 0])
