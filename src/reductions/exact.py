@@ -21,9 +21,9 @@ terms to keep, as an explicit ``order``; reading past a bound raises
 curves are exact Laurent-polynomial matrices and ``valuation_adapted_reduce``
 eliminates fraction-free, so its limits need no truncation order.
 
-Invariant: every value a caller reads (a series coefficient, a matrix
-entry, an element coordinate in ``liealg``) is a ``Fraction``, never an
-``int``, so that ``1 / x`` stays exact.  The public constructors coerce
+Invariant: series coefficients, matrix ``entries`` and element ``coords``
+(in ``liealg``) are always ``Fraction``, never ``int``, so that ``1 / x``
+stays exact; the kernels read the integer forms (``ints`` over ``den``).  The public constructors coerce
 every value with ``Fraction`` and check shapes; those of matrices and
 elements coerce with ``as_rational``, which refuses a float.
 ``SeriesMatrix._trusted`` and ``LaurentSeries._trusted`` take coefficients
